@@ -12,7 +12,7 @@ of the line, and the verdict is labelled accordingly.
 
 from dataclasses import dataclass
 
-from .field import BinaryField, extend_and_embed, poly_roots
+from .field import BinaryField, _echelonize, extend_and_embed, poly_roots
 from .linops import lin, lin_add, lin_kernel, splitting_degree
 from .limits import DEFAULT_MAX_DEGREE, CapacityError
 
@@ -121,18 +121,6 @@ def curves_isomorphic(R, R2, max_degree=DEFAULT_MAX_DEGREE):
     return None
 
 
-def _span(vectors):
-    """Canonical echelon span of concatenated-coefficient bit vectors."""
-    basis = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis = [min(b, b ^ v) for b in basis]
-            basis.append(v)
-    return sorted(basis)
-
-
 def _pack(R_coeffs, width):
     acc = 0
     for i, a in enumerate(R_coeffs):
@@ -179,11 +167,11 @@ def covers_isomorphic(L, L2, max_degree=DEFAULT_MAX_DEGREE):
             continue
         seen.add(c)
         ext, emb, roots = _binomial_roots(F, c, d, max_degree)
-        span2 = _span([_pack([emb(a) for a in R.coeffs], ext.degree)
+        span2 = _echelonize([_pack([emb(a) for a in R.coeffs], ext.degree)
                        for R in L2])
         for rho in roots:
             moved = [scaling_orbit(R.map_field(emb), rho) for R in L]
-            span1 = _span([_pack(R.coeffs, ext.degree) for R in moved])
+            span1 = _echelonize([_pack(R.coeffs, ext.degree) for R in moved])
             if span1 == span2:
                 return IsoWitness(rho, ext, "covers")
     return None

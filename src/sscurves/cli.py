@@ -18,7 +18,8 @@ from .builder import (CurveSpec, FibreProductSpec, build_components,
                       stratum_certificate)
 from .classify import covers_isomorphic, curves_isomorphic, radical
 from .decomp import decompose
-from .limits import Budget, BudgetError, CapacityError
+from .limits import (DEFAULT_LOG2_POINTS, DEFAULT_MAX_DEGREE, Budget,
+                     BudgetError, CapacityError)
 from .quotient import decomposition, is_irreducible
 from .zeta import (count_points, powersum_additivity_check,
                    verify_supersingular)
@@ -27,10 +28,12 @@ from .zeta import (count_points, powersum_additivity_check,
 def _budget(args):
     log2 = args.budget_log2
     if log2 is None:
-        log2 = int(os.environ.get("SSCURVES_BUDGET_LOG2", "24"))
+        log2 = int(os.environ.get("SSCURVES_BUDGET_LOG2",
+                                  DEFAULT_LOG2_POINTS))
     maxdeg = args.max_degree
     if maxdeg is None:
-        maxdeg = int(os.environ.get("SSCURVES_MAX_DEGREE", "64"))
+        maxdeg = int(os.environ.get("SSCURVES_MAX_DEGREE",
+                                    DEFAULT_MAX_DEGREE))
     return Budget(log2_points=log2, max_degree=maxdeg)
 
 
@@ -238,9 +241,11 @@ def build_parser():
         p.add_argument("--json", action="store_true",
                        help="machine-readable output only")
         p.add_argument("--budget-log2", type=int, default=None,
-                       help="log2 of the point-enumeration budget (default 24)")
+                       help="log2 of the largest field a point count may "
+                            "run over (default %d)" % DEFAULT_LOG2_POINTS)
         p.add_argument("--max-degree", type=int, default=None,
-                       help="largest ambient field degree (default 64)")
+                       help="largest ambient field degree (default %d)"
+                            % DEFAULT_MAX_DEGREE)
 
     p = sub.add_parser("decompose", help="binary block decomposition of g")
     p.add_argument("g", type=int)

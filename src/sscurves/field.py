@@ -25,7 +25,7 @@ class BinaryField:
     """Arithmetic in F_{2^N} = GF(2)[x]/(modulus), elements as bit vectors."""
 
     __slots__ = ("degree", "modulus", "order", "_top", "_trace_mask",
-                 "_exp", "_log")
+                 "_trace_dual", "_exp", "_log")
 
     def __init__(self, degree, modulus):
         if gf2x.degree(modulus) != degree:
@@ -37,6 +37,7 @@ class BinaryField:
         self.order = 1 << degree
         self._top = 1 << degree
         self._trace_mask = None
+        self._trace_dual = None
         self._exp = None
         self._log = None
 
@@ -151,6 +152,27 @@ class BinaryField:
     def trace(self, a):
         """Absolute trace to F_2: sum of a^(2^i) for i < N, landing in {0,1}."""
         return (a & self.trace_mask()).bit_count() & 1
+
+    def trace_dual(self):
+        """Bitmask rows d_k = {j : Tr(gamma^k gamma^j) = 1} of the trace form.
+
+        Tr(a b) is the parity of popcount(b & m) with m the xor of d_k over
+        the bits k of a.  The matrix is Hankel: Tr(gamma^(k+j)) depends on
+        k + j only, so one trace sequence of length 2N - 1 fills it.
+        """
+        dual = self._trace_dual
+        if dual is None:
+            seq = 0
+            v = 1
+            for i in range(2 * self.degree - 1):
+                seq |= self.trace(v) << i
+                v <<= 1
+                if v & self._top:
+                    v ^= self.modulus
+            full = self.order - 1
+            dual = [(seq >> k) & full for k in range(self.degree)]
+            self._trace_dual = dual
+        return dual
 
     def _trace_direct(self, a):
         t = acc = a

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 # Largest ambient field degree constructed by default.
 DEFAULT_MAX_DEGREE = 64
 
-# log2 of the number of field elements a single point count may enumerate.
+# log2 of the order of the largest field a single point count may run over.
 DEFAULT_LOG2_POINTS = 24
 
 

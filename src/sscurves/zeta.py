@@ -1,11 +1,24 @@
 """Exact point counting, L-polynomials, Newton polygons, supersingularity.
 
-Counts are exhaustive enumerations over extension fields, bounded by an
-explicit budget.  L-polynomial coefficients come from the counted power
-sums through the Newton identities and the functional equation, in exact
-integer arithmetic; floating point never enters.  The supersingularity
-verdict is the Newton-polygon criterion: every slope equals 1/2 (in
-q-adic units), decided exactly on 2-adic valuations.
+Every right-hand side built here is a sum of terms c x^e whose exponents
+have binary weight at most 2 (x R(x) with R linearized, and its twists), so
+Q(x) = Tr f(x) is an F_2-quadratic form on the field.  A point count is a
+character sum of such forms: sum_x (-1)^Q(x) is 0 when Q is not constant on
+the radical W of its bilinear form, and (-1)^Arf(Q) 2^((N + dim W)/2)
+otherwise.  Symplectic reduction finds W and the Arf sign exactly from
+O(N^2) field operations, without visiting the 2^N field elements.  Fibre
+products sum the forms of all component combinations, and single equations
+S(y) = T(x) sum the forms of alpha T over the kernel of the trace adjoint
+of S.  Only a right-hand side with an exponent of binary weight 3 or more
+(a hand-written curve file, say) is counted by enumerating the field.
+Either way a count is admitted by the same explicit budget on the field
+size.
+
+L-polynomial coefficients come from the counted power sums through the
+Newton identities and the functional equation, in exact integer
+arithmetic; floating point never enters.  The supersingularity verdict is
+the Newton-polygon criterion: every slope equals 1/2 (in q-adic units),
+decided exactly on 2-adic valuations.
 
 When a curve is too large to count, its jacobian is split into quotient
 pieces and each piece is counted over its own field of definition; pieces
@@ -17,8 +30,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .builder import CurveSpec, FibreProductSpec, certificate, fibre_combinations
-from .field import F2LinearMap, extend_and_embed
-from .linops import as_genus, as_reduce, definition_field, lin_eval
+from .field import extend_and_embed
+from .linops import (as_genus, as_reduce, definition_field, lin, lin_eval,
+                     lin_kernel)
 from .limits import DEFAULT_BUDGET, CapacityError
 from .quotient import QuotientCurve, decomposition, is_irreducible
 
@@ -74,14 +88,14 @@ def count_points(curve, k, budget=DEFAULT_BUDGET, chunks=1):
 
     Exactly one point at infinity is added; this needs every index-2 quotient
     of the cover to be ramified there (odd reduced right-hand sides), which
-    is checked before enumeration.
+    is checked before counting.
     """
     if isinstance(curve, QuotientCurve):
         return count_artin_schreier(curve.rhs, k, budget, chunks)
     if isinstance(curve, FibreProductSpec):
         return _count_fibre(curve, k, budget, chunks)
     if isinstance(curve, CurveSpec):
-        return _count_single(curve, k, budget, chunks)
+        return _count_single(curve, k, budget)
     raise TypeError("cannot count points of %r" % type(curve).__name__)
 
 
@@ -95,24 +109,30 @@ def count_artin_schreier(rhs, k, budget=DEFAULT_BUDGET, chunks=1):
     budget.check_points(F.degree * k)
     ext, emb = extend_and_embed(F, k)
     terms = rhs.map_field(emb).terms
+    form = _quadratic_form(ext, terms)
+    if form is not None:
+        return 1 + _span_sum(ext.degree, [form])
     total = 1
     for lo, hi in _ranges(ext.order, chunks):
         total += _as_range(ext, terms, lo, hi)
     return total
 
 
-def _count_single(c, k, budget, chunks):
+def _count_single(c, k, budget):
+    # #{y : S(y) = t} is the sum of (-1)^Tr(alpha t) over alpha in the kernel
+    # of the trace adjoint S*(alpha) = sum_i (A_i alpha)^(2^-i); the count is
+    # 1 plus the character sums of alpha T.  S*(alpha)^(2^n) is linearized
+    # over the base field with coefficients A_(n-i)^(2^i).
     if not is_irreducible(c):
         raise ValueError("curve is reducible")
     budget.check_points(c.field.degree * k)
     ext, emb = extend_and_embed(c.field, k)
-    S_ext = c.S.map_field(emb)
-    lm = F2LinearMap([lin_eval(S_ext, 1 << i) for i in range(ext.degree)])
+    F, n = c.field, c.n
+    adjoint = lin(F, [F.frobenius(c.S.coeff(n - i), i) for i in range(n + 1)])
     terms = c.derived_T().map_field(emb).terms
-    total = 1
-    for lo, hi in _ranges(ext.order, chunks):
-        total += _single_range(ext, terms, lm.rows, lm.kernel_size(), lo, hi)
-    return total
+    forms = [_quadratic_form(ext, [(e, ext.mul(alpha, t)) for e, t in terms])
+             for alpha in lin_kernel(adjoint, ext, emb)]
+    return 1 + _span_sum(ext.degree, forms)
 
 
 def _count_fibre(spec, k, budget, chunks):
@@ -124,10 +144,126 @@ def _count_fibre(spec, k, budget, chunks):
                              "even reduced degree")
     ext, emb = extend_and_embed(spec.field, k)
     comps = [f.map_field(emb).terms for f in spec.components]
+    forms = [_quadratic_form(ext, terms) for terms in comps]
+    if None not in forms:
+        # the y-tuples over x number sum_mask (-1)^Tr f_mask(x)
+        return 1 + _span_sum(ext.degree, forms)
     total = 1
     for lo, hi in _ranges(ext.order, chunks):
         total += _fibre_range(ext, comps, lo, hi)
     return total
+
+
+# -- character sums of quadratic forms on F_2^N (coordinates: bits of x) ------
+
+
+def _quadratic_form(F, terms):
+    """(Tr c_0, linear mask, alternating rows) of x -> Tr f(x), f = sum c x^e.
+
+    Returns None when some exponent has binary weight 3 or more.  Each term
+    c x^(2^a + 2^b), a >= b, is rewritten by trace invariance as
+    Tr(h x^(2^s + 1)) with h = c^(2^-b) and s = a - b; these gather into
+    Tr(x H(x)) with H = sum h_s x^(2^s) linearized.  Its bilinear form is
+    Tr(P(x) y) with P = H + H*, H* = sum h_s^(2^-s) x^(2^-s) the adjoint.
+    The form is F_2-linear in f: the form of a sum is the xor of the forms.
+    """
+    n = F.degree
+    const = lam = 0
+    h = [0] * n
+    for e, c in terms:
+        if e == 0:
+            const ^= c
+            continue
+        b = (e & -e).bit_length() - 1
+        a = e.bit_length() - 1
+        if e != (1 << a) | (1 << b):
+            return None
+        c = F.frobenius(c, -b)
+        if a == b:
+            lam ^= c            # Tr(c x^(2^a)) = Tr(c^(2^-a) x)
+        else:
+            h[(a - b) % n] ^= c
+    p = list(h)
+    for s, hs in enumerate(h):
+        if hs:
+            p[-s % n] ^= F.frobenius(hs, -s)
+    dual = F.trace_dual()
+
+    def trace_row(z):
+        # the mask of j with Tr(z gamma^j) = 1
+        row = 0
+        k = 0
+        while z:
+            if z & 1:
+                row ^= dual[k]
+            z >>= 1
+            k += 1
+        return row
+
+    H, P = lin(F, h), lin(F, p)
+    linear = trace_row(lam)
+    rows = []
+    for i in range(n):
+        x = 1 << i
+        linear ^= trace_row(lin_eval(H, x)) & x     # Q(x) = Tr(x H(x))
+        rows.append(trace_row(lin_eval(P, x)))
+    return F.trace(const), linear, rows
+
+
+def _span_sum(n, forms):
+    """Sum of the character sums of every F_2-combination of the forms.
+
+    The empty combination is the zero form, whose sum is 2^n.
+    """
+    const, linear, rows = 0, 0, [0] * n
+    total = 1 << n
+    for step in range(1, 1 << len(forms)):
+        c2, l2, r2 = forms[(step & -step).bit_length() - 1]
+        const ^= c2
+        linear ^= l2
+        rows = [a ^ b for a, b in zip(rows, r2)]
+        total += _char_sum(n, const, linear, rows)
+    return total
+
+
+def _char_sum(n, const, linear, rows):
+    """Sum over x in F_2^n of (-1)^Q(x) for an explicit quadratic form.
+
+    Q(x) = const + linear.x + sum_{i<j} rows[i]_j x_i x_j, rows symmetric with
+    a zero diagonal.  A hyperbolic pair (i, j), rows[i]_j = 1, splits Q as
+    (x_i + V)(x_j + U) + U V + Q', with U, V the affine forms multiplying
+    x_i, x_j; summing out x_i, x_j doubles the sum and leaves Q' + U V.
+    A radical coordinate's row stays zero, so one pass reaches an affine
+    form: 0 unless its linear part vanishes, else (-1)^const 2^(n - pairs).
+    """
+    rows = list(rows)
+    pairs = 0
+    for i in range(n):
+        r = rows[i]
+        if not r:
+            continue
+        j = (r & -r).bit_length() - 1
+        keep = ~((1 << i) | (1 << j))
+        u, v = r & keep, rows[j] & keep
+        ui, vj = linear >> i & 1, linear >> j & 1
+        rows[i] = rows[j] = 0
+        # U V adds u v^T + v u^T to the rows; the xors with bits i and j
+        # clear those columns
+        for m, add in ((u, v ^ (1 << i)), (v, u ^ (1 << j))):
+            while m:
+                low = m & -m
+                rows[low.bit_length() - 1] ^= add
+                m ^= low
+        linear = ((linear & keep) ^ (u & v) ^ (v if ui else 0)
+                  ^ (u if vj else 0))
+        const ^= ui & vj
+        pairs += 1
+    if linear:
+        return 0
+    return -(1 << (n - pairs)) if const else 1 << (n - pairs)
+
+
+# -- enumeration, for right-hand sides with exponents of binary weight >= 3 ---
 
 
 def _ranges(n, chunks):
@@ -167,39 +303,6 @@ def _as_range(ext, terms, lo, hi):
             v ^= ext.mul(c, ext.pow(x, e)) if x else 0
         if not (v & tmask).bit_count() & 1:
             count += 2
-    return count
-
-
-def _single_range(ext, terms, rows, ker_size, lo, hi):
-    count = 0
-    if ext.ensure_tables():
-        exp, log = ext.tables
-        q1 = ext.order - 1
-        pairs = [(e, log[c]) for e, c in terms if e]
-        const = next((c for e, c in terms if e == 0), 0)
-        for x in range(lo, hi):
-            if x:
-                lx = log[x]
-                v = const
-                for e, lc in pairs:
-                    v ^= exp[(lx * e + lc) % q1]
-            else:
-                v = const
-            for piv, rv, _ in rows:
-                if v & piv:
-                    v ^= rv
-            if v == 0:
-                count += ker_size
-        return count
-    for x in range(lo, hi):
-        v = 0
-        for e, c in terms:
-            v ^= ext.mul(c, ext.pow(x, e)) if x or e == 0 else 0
-        for piv, rv, _ in rows:
-            if v & piv:
-                v ^= rv
-        if v == 0:
-            count += ker_size
     return count
 
 
@@ -370,7 +473,7 @@ def _verify_numeric(curve, genus, N, budget):
 def verify_supersingular(curve, budget=DEFAULT_BUDGET):
     """Decide supersingularity along a three-step ladder.
 
-    (a) Count the curve itself when the enumeration fits the budget.
+    (a) Count the curve itself when its count fits the budget.
     (b) Otherwise split off the quotient pieces and verify each over its
         field of definition, certifying pieces of hyperelliptic shape that
         exceed the budget ("certified-not-recounted").

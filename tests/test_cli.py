@@ -2,6 +2,7 @@ import json
 import os
 
 from sscurves.cli import main
+from sscurves.limits import DEFAULT_LOG2_POINTS
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -147,6 +148,17 @@ def test_budget_env_override(capsys, monkeypatch):
     assert rc == 3
     rc, _ = run(capsys, "count", g5, "--ext", "2")
     assert rc == 0
+
+
+def test_budget_default(capsys, monkeypatch):
+    # without flag or environment the limits default applies: a count over
+    # F_2^24 fits, one over F_2^25 does not
+    g5 = os.path.join(FIXTURES, "g5_f2.json")
+    monkeypatch.delenv("SSCURVES_BUDGET_LOG2", raising=False)
+    rc, _ = run(capsys, "count", g5, "--ext", str(DEFAULT_LOG2_POINTS))
+    assert rc == 0
+    rc, _ = run(capsys, "count", g5, "--ext", str(DEFAULT_LOG2_POINTS + 1))
+    assert rc == 3
 
 
 def test_iso_and_radical(capsys, tmp_path):

@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from sscurves.builder import (CurveSpec, build_components, build_prime_field,
-                              glue_single_block)
+from sscurves import zeta
+from sscurves.builder import (CurveSpec, FibreProductSpec, build_components,
+                              build_prime_field, glue_single_block)
 from sscurves.decomp import decompose
-from sscurves.field import make_field
+from sscurves.field import F2LinearMap, extend_and_embed, make_field
 from sscurves.limits import Budget, BudgetError
-from sscurves.linops import lin, sparse
-from sscurves.quotient import QuotientCurve
+from sscurves.linops import lin, lin_compose, lin_eval, sparse, sparse_eval
+from sscurves.quotient import QuotientCurve, is_irreducible
 from sscurves.zeta import (CountSeries, InconsistentCounts, LPoly,
                            count_artin_schreier, count_points, count_series,
                            check_functional_equation, lpoly_from_counts,
@@ -127,6 +129,112 @@ def test_count_chunk_determinism():
     assert count_points(q, 4, chunks=1) == count_points(q, 4, chunks=7)
     spec = build_components(decompose(5))
     assert count_points(spec, 3, chunks=1) == count_points(spec, 3, chunks=5)
+
+
+def test_count_chunk_determinism_enumerated():
+    # right-hand sides with an x^7 term are enumerated, in chunks
+    q = QuotientCurve(0, sparse(F2, {7: 1, 3: 1}), 3)
+    assert count_points(q, 4, chunks=1) == count_points(q, 4, chunks=7)
+    spec = FibreProductSpec(F4, (sparse(F4, {7: 1}), sparse(F4, {3: 2, 1: 1})),
+                            ())
+    assert count_points(spec, 2, chunks=1) == count_points(spec, 2, chunks=5)
+    assert count_points(spec, 1, chunks=3) == brute_count_fibre(F4, spec)
+
+
+def test_weight_three_exponent_is_enumerated(monkeypatch):
+    calls = []
+    as_range = zeta._as_range
+
+    def spy(*args):
+        calls.append(args[2:])
+        return as_range(*args)
+
+    monkeypatch.setattr(zeta, "_as_range", spy)
+    f = sparse(F2, {7: 1})
+    for k in (1, 2, 3, 4):
+        ext, emb = extend_and_embed(F2, k)
+        assert zeta._quadratic_form(ext, f.map_field(emb).terms) is None
+        assert count_artin_schreier(f, k) == brute_count_artin_schreier(
+            ext, f.map_field(emb))
+    assert calls == [(0, 2), (0, 4), (0, 8), (0, 16)]
+
+
+# -- the quadratic-form route against enumeration -----------------------------
+#
+# Right-hand sides are drawn over F_2 .. F_32 and counted over extensions of
+# degree k <= 2.  A top term x^(2^u + 1) above every other term's reduction
+# keeps the reduced degree odd, as counting requires.
+
+SMALL = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def quadratic_rhs(draw, F, u):
+    """Terms c x^e with binary weight of e <= 2, reducing below x^(2^u+1)."""
+    terms = {(1 << u) + 1: draw(st.integers(1, F.order - 1))}
+    for _ in range(draw(st.integers(0, 4))):
+        b = draw(st.integers(0, 5))
+        kind = draw(st.sampled_from(("const", "linear", "quadratic")))
+        if kind == "const":
+            e = 0
+        elif kind == "linear":
+            e = 1 << b
+        else:
+            e = (1 << (b + draw(st.integers(1, u - 1)))) | (1 << b)
+        terms[e] = terms.get(e, 0) ^ draw(st.integers(0, F.order - 1))
+    return sparse(F, terms)
+
+
+@SMALL
+@given(st.data(), st.integers(1, 5), st.integers(1, 2), st.integers(2, 4))
+def test_quadratic_route_matches_enumeration(data, d, k, u):
+    F = make_field(d)
+    f = data.draw(quadratic_rhs(F, u))
+    ext, emb = extend_and_embed(F, k)
+    terms = f.map_field(emb).terms
+    assert zeta._quadratic_form(ext, terms) is not None
+    assert count_artin_schreier(f, k) == 1 + zeta._as_range(
+        ext, terms, 0, ext.order)
+
+
+@SMALL
+@given(st.data(), st.integers(1, 5), st.integers(1, 2),
+       st.lists(st.integers(2, 4), min_size=1, max_size=3, unique=True))
+def test_quadratic_route_matches_enumeration_fibre(data, d, k, tops):
+    F = make_field(d)
+    spec = FibreProductSpec(
+        F, tuple(data.draw(quadratic_rhs(F, u)) for u in tops), ())
+    ext, emb = extend_and_embed(F, k)
+    comps = [f.map_field(emb).terms for f in spec.components]
+    assert count_points(spec, k) == 1 + zeta._fibre_range(
+        ext, comps, 0, ext.order)
+
+
+def enumerate_single(c, k):
+    """Oracle for S(y) = T(x): |ker S| points over each x with T(x) in im S."""
+    ext, emb = extend_and_embed(c.field, k)
+    S = c.S.map_field(emb)
+    lm = F2LinearMap([lin_eval(S, 1 << i) for i in range(ext.degree)])
+    T = c.derived_T().map_field(emb)
+    return 1 + sum(lm.kernel_size() for x in ext.elements()
+                   if lm.image_contains(sparse_eval(T, x)))
+
+
+@SMALL
+@given(st.data(), st.integers(1, 5), st.integers(1, 2), st.integers(0, 2))
+def test_quadratic_route_matches_enumeration_single(data, d, k, h):
+    # S = B(y^2 + y) vanishes at y = 1, so dim ker S* = dim ker S >= 1
+    F = make_field(d)
+    coeff = st.integers(0, F.order - 1)
+    B = lin(F, [data.draw(st.integers(1, F.order - 1))]
+            + [data.draw(coeff) for _ in range(h - 1)] + [1] if h else [1])
+    S = lin_compose(B, lin(F, [1, 1]))
+    R_list = tuple(lin(F, [data.draw(coeff) for _ in range(data.draw(
+        st.integers(0, 3)))]) for _ in range(S.h))
+    assume(any(not R.is_zero() for R in R_list))
+    c = CurveSpec(F, S, R_list).validate()
+    assume(is_irreducible(c))
+    assert count_points(c, k) == enumerate_single(c, k)
 
 
 def test_count_budget():

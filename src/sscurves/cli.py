@@ -101,10 +101,10 @@ def cmd_construct(args):
 
 
 def cmd_quotients(args):
-    curve = jsonio.load_curve(args.curvefile)
+    budget = _budget(args)
+    curve = jsonio.load_curve(args.curvefile, budget.max_degree)
     if not isinstance(curve, CurveSpec):
         raise ValueError("quotients need a single-equation curve file")
-    budget = _budget(args)
     pieces = decomposition(curve, max_degree=budget.max_degree)
     doc = [{"alpha": jsonio.elem_to_json(p.alpha), "genus": p.genus,
             "rhs": jsonio.sparse_to_json(p.rhs)} for p in pieces]
@@ -118,15 +118,16 @@ def cmd_quotients(args):
 
 
 def cmd_count(args):
-    curve = jsonio.load_curve(args.curvefile)
-    n = count_points(curve, args.ext, _budget(args))
+    budget = _budget(args)
+    curve = jsonio.load_curve(args.curvefile, budget.max_degree)
+    n = count_points(curve, args.ext, budget)
     _emit(args, {"ext": args.ext, "count": n}, ["%d" % n])
     return 0
 
 
 def cmd_lpoly(args):
-    curve = jsonio.load_curve(args.curvefile)
     budget = _budget(args)
+    curve = jsonio.load_curve(args.curvefile, budget.max_degree)
     report = verify_supersingular(curve, budget)
     if report.lpoly is None:
         raise BudgetError("curve is too large to count directly; "
@@ -139,8 +140,8 @@ def cmd_lpoly(args):
 
 
 def cmd_verify(args):
-    curve = jsonio.load_curve(args.curvefile)
     budget = _budget(args)
+    curve = jsonio.load_curve(args.curvefile, budget.max_degree)
     failures = []
     checks = {}
     if isinstance(curve, CurveSpec):
@@ -186,19 +187,14 @@ def cmd_iso(args):
     with open(args.second) as fh:
         b = json.load(fh)
     budget = _budget(args)
+    F = jsonio.field_from_json(a.get("field", {}), budget.max_degree)
+    if F != jsonio.field_from_json(b.get("field", {}), budget.max_degree):
+        raise ValueError("operands live over different fields")
     if args.mode == "curves":
-        F = jsonio.field_from_json(a.get("field", {}))
-        F2 = jsonio.field_from_json(b.get("field", {}))
-        if F != F2:
-            raise ValueError("operands live over different fields")
         R = jsonio.linpoly_from_json(a.get("coeffs"), F)
         R2 = jsonio.linpoly_from_json(b.get("coeffs"), F)
         witness = curves_isomorphic(R, R2, max_degree=budget.max_degree)
     else:
-        F = jsonio.field_from_json(a.get("field", {}))
-        F2 = jsonio.field_from_json(b.get("field", {}))
-        if F != F2:
-            raise ValueError("operands live over different fields")
         L = [jsonio.linpoly_from_json(r, F) for r in a.get("basis", [])]
         L2 = [jsonio.linpoly_from_json(r, F) for r in b.get("basis", [])]
         witness = covers_isomorphic(L, L2, max_degree=budget.max_degree)
@@ -219,9 +215,9 @@ def cmd_iso(args):
 def cmd_radical(args):
     with open(args.first) as fh:
         a = json.load(fh)
-    F = jsonio.field_from_json(a.get("field", {}))
-    R = jsonio.linpoly_from_json(a.get("coeffs"), F)
     budget = _budget(args)
+    F = jsonio.field_from_json(a.get("field", {}), budget.max_degree)
+    R = jsonio.linpoly_from_json(a.get("coeffs"), F)
     rad = radical(R, max_degree=budget.max_degree)
     doc = {"ambient": jsonio.field_to_json(rad.ambient),
            "basis": [jsonio.elem_to_json(b) for b in rad.basis]}

@@ -25,7 +25,7 @@ class BinaryField:
     """Arithmetic in F_{2^N} = GF(2)[x]/(modulus), elements as bit vectors."""
 
     __slots__ = ("degree", "modulus", "order", "_top", "_trace_mask",
-                 "_trace_dual", "_exp", "_log")
+                 "_trace_dual", "_exp", "_log", "_generator_order")
 
     def __init__(self, degree, modulus):
         if gf2x.degree(modulus) != degree:
@@ -40,6 +40,7 @@ class BinaryField:
         self._trace_dual = None
         self._exp = None
         self._log = None
+        self._generator_order = None
 
     def __eq__(self, other):
         return (isinstance(other, BinaryField)
@@ -203,7 +204,7 @@ class BinaryField:
 
     def _find_primitive(self):
         q1 = self.order - 1
-        primes = gf2x._prime_factors(q1) if q1 > 1 else []
+        primes = [p for p, _ in gf2x.factorize(q1)]
         for candidate in range(2, self.order):
             if all(self.pow(candidate, q1 // p) != 1 for p in primes):
                 return candidate
@@ -212,6 +213,21 @@ class BinaryField:
     @property
     def tables(self):
         return self._exp, self._log
+
+    def generator_order(self):
+        """(ord(x), ((p, k), ...)): the order of x and its factorization."""
+        cached = self._generator_order
+        if cached is None:
+            order = self.order - 1
+            factors = []
+            for p, k in gf2x.factorize(order):
+                while k and self.pow(self.generator, order // p) == 1:
+                    order //= p
+                    k -= 1
+                if k:
+                    factors.append((p, k))
+            cached = self._generator_order = (order, tuple(factors))
+        return cached
 
 
 _FIELD_CACHE = {}

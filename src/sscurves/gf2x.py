@@ -4,9 +4,16 @@ A polynomial sum b_i x^i is stored as the integer sum b_i 2^i, so addition
 is xor and multiplication by x is a left shift.  This keeps the hot loops
 (irreducibility tests, gcds of degree-4096 polynomials) inside CPython's
 bignum layer where they run on machine words.
+
+The module also factors integers (``factorize``), for the orders 2^n - 1
+of multiplicative groups.
 """
 
 from functools import lru_cache
+from itertools import count
+from math import gcd as gcd_int
+
+from .limits import BudgetError
 
 # Squaring spreads the bits of a byte: bit i -> bit 2i.
 _SPREAD = [sum(1 << (2 * i) for i in range(8) if b >> i & 1) for b in range(256)]
@@ -90,18 +97,81 @@ def frob_power_mod(k, m):
     return t
 
 
-def _prime_factors(n):
-    out = []
+# Trial division runs up to this bound before Pollard's rho takes over.
+_TRIAL_BOUND = 1 << 10
+
+# Miller-Rabin bases: a deterministic primality test below 3.3 * 10^24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Pollard's rho gives up after this many steps.  It finds a prime p in about
+# 1.25 sqrt(p) steps, so a factor still hidden by then is most likely beyond
+# 2^38, where a discrete log by baby-step giant-step would not finish either.
+_RHO_MAX_STEPS = 1 << 20
+
+
+def factorize(n):
+    """Prime factorization of n >= 1 as a sorted list of (p, k) pairs.
+
+    Trial division removes the small primes; what remains is split by
+    Pollard's rho down to Miller-Rabin primes.  Raises BudgetError when rho
+    exceeds its step bound.
+    """
+    out = {}
     p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
+    while p < _TRIAL_BOUND and p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
         p += 1
-    if n > 1:
-        out.append(n)
-    return out
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            stack += [d, m // d]
+    return sorted(out.items())
+
+
+def _is_prime(n):
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n):
+    """A proper factor of the odd composite n (Floyd cycle finding)."""
+    steps = 0
+    for c in count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            steps += 1
+            if steps > _RHO_MAX_STEPS:
+                raise BudgetError("cannot factor %d within %d rho steps"
+                                  % (n, _RHO_MAX_STEPS))
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd_int(x - y, n)
+        if d != n:
+            return d
 
 
 def is_irreducible(f):
@@ -115,7 +185,7 @@ def is_irreducible(f):
         return False
     if frob_power_mod(n, f) != mod(2, f):
         return False
-    for p in _prime_factors(n):
+    for p, _ in factorize(n):
         if gcd(frob_power_mod(n // p, f) ^ 2, f) != 1:
             return False
     return True

@@ -13,6 +13,7 @@ from . import __version__
 from .builder import CurveSpec, FibreProductSpec, stratum_certificate
 from .decomp import decompose
 from .field import BinaryField
+from .limits import DEFAULT_MAX_DEGREE, CapacityError
 from .linops import lin, sparse
 
 
@@ -24,10 +25,16 @@ def field_to_json(F):
     return {"degree": F.degree, "modulus": "0x%x" % F.modulus}
 
 
-def field_from_json(obj):
+def field_from_json(obj, max_degree=DEFAULT_MAX_DEGREE):
+    """The field of a document; a degree above max_degree raises CapacityError
+    before the modulus is tested for irreducibility."""
     _need(obj, "field", ("degree", "modulus"))
+    degree = obj["degree"]
+    if isinstance(degree, int) and degree > max_degree:
+        raise CapacityError("field degree %d exceeds bound %d"
+                            % (degree, max_degree))
     try:
-        return BinaryField(obj["degree"], int(obj["modulus"], 16))
+        return BinaryField(degree, int(obj["modulus"], 16))
     except (TypeError, ValueError) as ex:
         raise ValueError("bad field description: %s" % ex)
 
@@ -97,9 +104,9 @@ def curve_to_json(curve, construction=None):
     return doc
 
 
-def curve_from_json(doc):
+def curve_from_json(doc, max_degree=DEFAULT_MAX_DEGREE):
     _need(doc, "curve file", ("kind", "field"))
-    F = field_from_json(doc["field"])
+    F = field_from_json(doc["field"], max_degree)
     meta = doc.get("metadata") or {}
     strata = None
     construction = meta.get("construction")
@@ -131,13 +138,13 @@ def _strata_from_components(components):
     return tuple(sorted(groups.items()))
 
 
-def load_curve(path):
+def load_curve(path, max_degree=DEFAULT_MAX_DEGREE):
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as ex:
             raise ValueError("not a JSON document: %s" % ex)
-    return curve_from_json(doc)
+    return curve_from_json(doc, max_degree)
 
 
 def report_to_json(report):

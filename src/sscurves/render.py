@@ -4,10 +4,32 @@ Coefficients print as powers of the field generator ("a", "a^6") when the
 element lies in the generator's multiplicative orbit, falling back to hex
 otherwise; the generator of the prime field is 1 so prime-field equations
 carry no coefficient prefixes at all.
+
+The exponent of a coefficient c is its least discrete logarithm e to base
+a, found without walking the field.  Fields of degree at most 20 read it
+off the field's exp/log tables, whose base b need not be a: with
+L = log_b a and d = gcd(L, q - 1), c lies in the orbit of a iff d divides
+log_b c, and then e = (log_b c / d) (L / d)^-1 mod (q - 1) / d.  Larger
+fields run Pohlig-Hellman over the factorization of ord(a) (cached on the
+field), with baby-step giant-step for the digit at each prime.  A prime
+that would need more than _MAX_BABY_STEPS = 2^20 baby steps (p > 2^40,
+which among degrees up to 64 happens at 49, 59 and 61) has only digits
+below _SHORT_WALK = 2^12 found, by walking its powers; any other exponent
+there raises BudgetError (exit code 3) instead of grinding.
 """
 
+from math import gcd, isqrt
+
 from .builder import CurveSpec, FibreProductSpec
+from .limits import BudgetError
 from .linops import times_x
+
+# Baby-step giant-step keeps at most this many baby steps per prime.
+_MAX_BABY_STEPS = 1 << 20
+
+# Digits at a prime beyond the baby-step bound are only looked for below
+# this, which still finds the small exponents (a^j, j < 64) that builders emit.
+_SHORT_WALK = 1 << 12
 
 
 def coeff_text(F, c):
@@ -21,12 +43,64 @@ def coeff_text(F, c):
 
 
 def _dlog(F, c):
+    """Least e >= 0 with a^e = c for the generator a, or None if c is not in <a>."""
+    if c == 0:
+        return None
+    if F.ensure_tables():
+        log = F.tables[1]
+        n = F.order - 1
+        base = log[F.generator]
+        d = gcd(base, n)
+        if log[c] % d:
+            return None
+        m = n // d
+        return log[c] // d * pow(base // d, -1, m) % m
+    return _pohlig_hellman(F, c)
+
+
+def _pohlig_hellman(F, c):
+    order, factors = F.generator_order()
+    if F.pow(c, order) != 1:
+        return None
+    e, modulus = 0, 1
+    for p, k in factors:
+        pk = p ** k
+        g = F.pow(F.generator, order // pk)     # order p^k
+        h = F.pow(c, order // pk)
+        gamma = F.pow(g, pk // p)               # order p
+        t = 0
+        for i in range(k):
+            # (h g^-t)^(p^(k-1-i)) = gamma^(digit i of log_g h in base p)
+            r = F.pow(F.mul(h, F.pow(g, -t)), p ** (k - 1 - i))
+            t += _bsgs(F, gamma, r, p) * p ** i
+        e += modulus * ((t - e) * pow(modulus, -1, pk) % pk)
+        modulus *= pk
+    return e
+
+
+def _bsgs(F, gamma, h, p):
+    """t in [0, p) with gamma^t = h, for gamma of prime order p."""
+    m = isqrt(p - 1) + 1        # m^2 >= p
+    if m > _MAX_BABY_STEPS:
+        v = 1
+        for t in range(_SHORT_WALK):
+            if v == h:
+                return t
+            v = F.mul(v, gamma)
+        raise BudgetError("discrete log in F_2^%d needs %d baby steps for "
+                          "the prime %d" % (F.degree, m, p))
+    baby = {}
     v = 1
-    for e in range(F.order - 1):
-        if v == c:
-            return e
-        v = F.mul(v, F.generator)
-    return None
+    for j in range(m):
+        baby[v] = j
+        v = F.mul(v, gamma)
+    giant = F.pow(gamma, -m)
+    for i in range(m):
+        j = baby.get(h)
+        if j is not None:
+            return i * m + j
+        h = F.mul(h, giant)
+    raise AssertionError("h is not a power of gamma")
 
 
 def sparse_text(f, var="x"):

@@ -1,10 +1,16 @@
 import json
 import os
+import subprocess
+import sys
+import time
+
+import pytest
 
 from sscurves.cli import main
 from sscurves.limits import DEFAULT_LOG2_POINTS
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 def run(capsys, *argv):
@@ -199,3 +205,41 @@ def test_roundtrip_through_files(capsys, tmp_path):
     assert rc == 0
     # fibre product of genus 30 over F_16
     assert json.loads(out2)["count"] >= 1
+
+
+def test_field_degree_bound_applies_at_load(capsys, tmp_path):
+    # an over-sized field fails before its modulus is tested (a Rabin test
+    # of this degree-3000 modulus alone takes seconds)
+    field = {"degree": 3000, "modulus": "0x%x" % ((1 << 3000) | 0b1011)}
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"format": "curve", "kind": "single",
+                               "field": field, "S": ["0x1", "0x1"],
+                               "R": [["0x1"]]}))
+    r = tmp_path / "r.json"
+    r.write_text(json.dumps({"field": field, "coeffs": ["0x1", "0x1"]}))
+    t0 = time.perf_counter()
+    for argv in (["quotients", "--max-degree", "64", str(big)],
+                 ["verify", str(big)], ["count", str(big)],
+                 ["radical", str(r)], ["iso", str(r), str(r)]):
+        assert main(argv) == 3
+        assert "exceeds bound 64" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("g", [223, 239])
+def test_quotients_render_in_large_fields(g, tmp_path):
+    # pieces over F_2^20 (g = 223) and F_2^24 (g = 239): coefficients are
+    # rendered by discrete logs, which a walk over the field never finished
+    curve = tmp_path / "c.json"
+    assert main(["construct", "--mode", "f2", str(g), "--json",
+                 "--out", str(curve)]) == 0
+    env = dict(os.environ, PYTHONPATH=SRC)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sscurves.cli", "quotients",
+                           str(curve)], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "127 quotients, genus total %d" % g
+    assert len(lines) == 128 and any("a^" in line for line in lines)

@@ -73,3 +73,37 @@ def test_frobenius_order():
     f = (1 << 16) | (1 << 8) | (1 << 2) | (1 << 1)        # x^16+x^8+x^2+x
     assert gf2x.frobenius_order(f, 16) == 6
     assert gf2x.frobenius_order(f, 5) is None
+
+
+def trial_factorize(n):
+    """Oracle: trial division by every integer up to sqrt(n)."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return sorted(out.items())
+
+
+def test_factorize_against_trial_division():
+    rng = random.Random(11)
+    for n in list(range(1, 300)) + [rng.randrange(1, 1 << 36)
+                                     for _ in range(50)]:
+        assert gf2x.factorize(n) == trial_factorize(n), n
+    for n in range(1, 41):
+        assert gf2x.factorize((1 << n) - 1) == trial_factorize((1 << n) - 1)
+
+
+def test_factorize_large_multiplicative_orders():
+    assert gf2x.factorize((1 << 61) - 1) == [((1 << 61) - 1, 1)]
+    assert gf2x.factorize((1 << 62) - 1) == [
+        (3, 1), (715827883, 1), (2147483647, 1)]
+    assert gf2x.factorize((1 << 64) - 1) == [
+        (3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1),
+        (6700417, 1)]
+    assert gf2x.factorize(1093 ** 2 * 3511 ** 3 * 1000003) == [
+        (1093, 2), (3511, 3), (1000003, 1)]

@@ -1,0 +1,101 @@
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sscurves import gf2x
+from sscurves.field import BinaryField, make_field
+from sscurves.limits import BudgetError
+from sscurves.render import _dlog, coeff_text
+
+SMALL = settings(max_examples=60, deadline=None)
+
+
+def scan_dlog(F, c):
+    """Oracle: walk a^0, a^1, ... through all of F_q^x and stop at c."""
+    v = 1
+    for e in range(F.order - 1):
+        if v == c:
+            return e
+        v = F.mul(v, F.generator)
+    return None
+
+
+def irreducible_fields(n):
+    return [BinaryField(n, f) for f in range(1 << n, 1 << (n + 1))
+            if gf2x.is_irreducible(f)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dlog_matches_scan_on_every_element(n):
+    F = make_field(n)
+    got = [_dlog(F, c) for c in F.elements()]
+    assert got == [scan_dlog(F, c) for c in F.elements()]
+    assert got[0] is None
+
+
+def test_canonical_generators_that_are_not_primitive():
+    # x generates a proper subgroup for the canonical moduli of degree 8,
+    # 12, 14 and 16, so the table base must be converted
+    for n in (8, 12, 14, 16):
+        F = make_field(n)
+        order, _ = F.generator_order()
+        assert order < F.order - 1 and (F.order - 1) % order == 0
+        assert F.ensure_tables() and F.tables[1][F.generator] != 1
+    F = make_field(8)
+    outside = [c for c in F.elements() if c and _dlog(F, c) is None]
+    assert len(outside) == F.order - 1 - F.generator_order()[0]
+    assert all(scan_dlog(F, c) is None for c in outside)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_dlog_matches_scan_for_every_modulus(n):
+    for F in irreducible_fields(n):
+        assert ([_dlog(F, c) for c in F.elements()]
+                == [scan_dlog(F, c) for c in F.elements()]), F
+
+
+@SMALL
+@given(st.data(), st.integers(11, 16))
+def test_dlog_matches_scan_drawn(data, n):
+    F = make_field(n)
+    c = data.draw(st.integers(0, F.order - 1))
+    assert _dlog(F, c) == scan_dlog(F, c)
+
+
+@SMALL
+@given(st.data(), st.sampled_from([24, 32]))
+def test_pohlig_hellman_round_trip(data, n):
+    F = make_field(n)
+    assert not F.ensure_tables()
+    order, _ = F.generator_order()
+    e = data.draw(st.integers(0, 4 * order))
+    got = _dlog(F, F.pow(F.generator, e))
+    assert got == e % order and got < order
+    c = data.draw(st.integers(1, F.order - 1))
+    got = _dlog(F, c)
+    if F.pow(c, order) == 1:
+        assert got < order and F.pow(F.generator, got) == c
+    else:
+        assert got is None
+
+
+def test_pohlig_hellman_edges():
+    F = make_field(32)            # x has order (2^32 - 1) / 3
+    order, _ = F.generator_order()
+    assert order == (F.order - 1) // 3
+    assert _dlog(F, 0) is None
+    assert _dlog(F, 1) == 0 and _dlog(F, F.generator) == 1
+    assert _dlog(F, F.pow(F.generator, order - 1)) == order - 1
+    outside = next(c for c in range(2, 64) if F.pow(c, order) != 1)
+    assert _dlog(F, outside) is None
+    assert coeff_text(F, outside) == "0x%x*" % outside
+
+
+def test_large_prime_factor_fails_fast():
+    F = make_field(61)            # 2^61 - 1 is prime
+    t0 = time.perf_counter()
+    assert _dlog(F, F.pow(F.generator, 60)) == 60     # small: still found
+    with pytest.raises(BudgetError):
+        _dlog(F, F.pow(F.generator, 1 << 40))
+    assert time.perf_counter() - t0 < 5

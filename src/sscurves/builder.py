@@ -80,21 +80,29 @@ class GenusCertificate:
     total: int
 
 
-def stratum_certificate(d):
-    """Certificate from block arithmetic alone.
+def stratum_rows(strata):
+    """(member count, member genus) per stratum of ((u_i, dim_i), ...).
 
-    Stratum i has 2^(sum_{j<i}(r_j+1)) * (2^(r_i+1)-1) members of genus
-    2^(u_i - 1); the strata sum back to g.
+    Stratum i has 2^(dim_0 + ... + dim_(i-1)) * (2^dim_i - 1) members, each
+    of genus 2^(u_i - 1).
     """
     rows = []
     prefix = 0
-    for (s, r), u in zip(d.blocks, d.u):
-        count = (1 << prefix) * ((1 << (r + 1)) - 1)
-        rows.append((count, 1 << (u - 1)))
-        prefix += r + 1
+    for u, dim in strata:
+        rows.append(((1 << prefix) * ((1 << dim) - 1), 1 << (u - 1)))
+        prefix += dim
+    return tuple(rows)
+
+
+def stratum_certificate(d):
+    """Certificate from block arithmetic alone; the strata sum back to g.
+
+    Block i gives the stratum (u_i, r_i + 1).
+    """
+    rows = stratum_rows((u, r + 1) for (_, r), u in zip(d.blocks, d.u))
     total = sum(c * g for c, g in rows)
     assert total == d.g
-    return GenusCertificate(tuple(rows), total)
+    return GenusCertificate(rows, total)
 
 
 def build_components(d):
@@ -139,12 +147,7 @@ def certificate(spec, exhaustive=None):
     w <= 20) every nonzero combination is additionally checked with the
     Artin-Schreier genus formula and any mismatch is an internal error.
     """
-    rows = []
-    prefix = 0
-    for u, dim in spec.strata:
-        count = (1 << prefix) * ((1 << dim) - 1)
-        rows.append((count, 1 << (u - 1)))
-        prefix += dim
+    rows = stratum_rows(spec.strata)
     total = sum(c * g for c, g in rows)
     if exhaustive is None:
         exhaustive = spec.weight <= EXHAUSTIVE_WEIGHT_LIMIT
@@ -157,7 +160,7 @@ def certificate(spec, exhaustive=None):
             raise AssertionError(
                 "stratum bookkeeping disagrees with exhaustive genus count: "
                 "%r vs %r" % (expected, seen))
-    return GenusCertificate(tuple(rows), total)
+    return GenusCertificate(rows, total)
 
 
 def _exhaustive_genus_counts(spec):

@@ -9,6 +9,16 @@ Every computation picks one ambient field large enough for its task (these
 fields stand in for the algebraic closure at finite level).  Construction
 is deterministic: degree N always gets the irreducible modulus with the
 smallest bit pattern, so serialized artifacts are reproducible.
+
+Squaring is F_2-linear, so ``sqr`` reads one 256-entry table per input byte
+(ceil(N/8) tables, built once per field by xor from the basis squares
+x^(2i) mod the modulus) and xors the looked-up rows; Frobenius powers,
+square roots, traces and powers all square this way.  Roots of a
+polynomial that splits into distinct roots are found by trace splitting
+at every field order.  The embedding of a subfield sends its generator to
+the smallest root of its modulus in the extension: an irreducible modulus
+of degree d splits into d distinct roots in every extension of degree
+divisible by d, so it goes to trace splitting without the split test.
 """
 
 from . import gf2x
@@ -17,15 +27,13 @@ from .limits import DEFAULT_MAX_DEGREE, CapacityError
 # Fields at or below this degree get exp/log tables on first use.
 _TABLE_MAX_DEGREE = 20
 
-# Fields small enough to find polynomial roots by direct scan.
-_SCAN_MAX_ORDER = 1 << 12
-
 
 class BinaryField:
     """Arithmetic in F_{2^N} = GF(2)[x]/(modulus), elements as bit vectors."""
 
     __slots__ = ("degree", "modulus", "order", "_top", "_trace_mask",
-                 "_trace_dual", "_exp", "_log", "_generator_order")
+                 "_trace_dual", "_sqr_tables", "_exp", "_log",
+                 "_generator_order", "_baby_steps")
 
     def __init__(self, degree, modulus):
         if gf2x.degree(modulus) != degree:
@@ -38,9 +46,11 @@ class BinaryField:
         self._top = 1 << degree
         self._trace_mask = None
         self._trace_dual = None
+        self._sqr_tables = None
         self._exp = None
         self._log = None
         self._generator_order = None
+        self._baby_steps = {}       # render's discrete-log tables, by prime
 
     def __eq__(self, other):
         return (isinstance(other, BinaryField)
@@ -85,7 +95,26 @@ class BinaryField:
         return r
 
     def sqr(self, a):
-        return gf2x.mod(gf2x.sqr(a), self.modulus)
+        """a^2: the xor of one squaring-table row per byte of a.
+
+        Bits beyond the tables (an unreduced input) take the polynomial
+        route, squaring and reducing modulo the modulus.
+        """
+        tables = self._sqr_tables
+        if tables is None:
+            # bit i squares to x^(2i) mod the modulus
+            images, v = [], 1
+            for _ in range(8 * -(-self.degree // 8)):
+                images.append(v)
+                v = gf2x.mod(v << 2, self.modulus)
+            tables = self._sqr_tables = byte_tables(images)
+        r = 0
+        for t in tables:
+            r ^= t[a & 0xFF]
+            a >>= 8
+        if a:
+            r ^= gf2x.mod(gf2x.sqr(a << (8 * len(tables))), self.modulus)
+        return r
 
     def inv(self, a):
         """Inverse of nonzero a (binary extended Euclid on the bit vectors)."""
@@ -228,6 +257,23 @@ class BinaryField:
                     factors.append((p, k))
             cached = self._generator_order = (order, tuple(factors))
         return cached
+
+
+def byte_tables(images):
+    """Lookup tables of the F_2-linear map sending bit i to images[i].
+
+    Table k has 256 rows, row b the xor of images[8k + i] over the bits i
+    of b, so the map costs one lookup per byte of its input.
+    """
+    tables = []
+    for k in range(0, len(images), 8):
+        t = [0] * 256
+        for i, v in enumerate(images[k:k + 8]):
+            bit = 1 << i
+            for b in range(bit):
+                t[bit | b] = t[b] ^ v
+        tables.append(t)
+    return tables
 
 
 _FIELD_CACHE = {}
@@ -425,8 +471,8 @@ def poly_roots(F, coeffs):
     """All roots in F of a polynomial that splits into distinct roots there.
 
     Returns None when the polynomial does not split completely (or has a
-    repeated root).  Deterministic: small fields are scanned element by
-    element; larger ones use trace-map splitting with multipliers running
+    repeated root), which the test x^q = x mod f decides.  Deterministic:
+    the roots come from trace-map splitting with multipliers running
     through the successive powers 1, g, g^2, ... of the field generator.
     """
     coeffs = ptrim(list(coeffs))
@@ -443,11 +489,6 @@ def poly_roots(F, coeffs):
         return roots
     if deg == 1:
         return sorted(roots + [F.div(coeffs[0], coeffs[1])])
-    if F.order <= _SCAN_MAX_ORDER:
-        found = [x for x in F.elements() if peval(F, coeffs, x) == 0]
-        if len(found) != deg:
-            return None
-        return sorted(roots + found)
     coeffs = pmonic(F, coeffs)
     if frobenius_power_mod(F, coeffs, F.degree) != [0, 1]:
         return None
@@ -549,11 +590,11 @@ def embedding_into(base, ext):
     if base.degree == 1:
         emb = FieldEmbedding(base, ext, 1)
     else:
-        mod_coeffs = [(base.modulus >> i) & 1 for i in range(base.degree + 1)]
-        roots = poly_roots(ext, mod_coeffs)
-        if not roots:
-            raise AssertionError("modulus must split in a degree multiple")
-        emb = FieldEmbedding(base, ext, roots[0])
+        # irreducible of degree d | n: monic and split into distinct roots
+        roots = []
+        _trace_split(ext, [(base.modulus >> i) & 1
+                           for i in range(base.degree + 1)], 1, roots)
+        emb = FieldEmbedding(base, ext, min(roots))
     _EMBED_CACHE[key] = emb
     return emb
 

@@ -2,9 +2,11 @@
 
 A 2-linearized (additive) polynomial sum a_i x^(2^i) is F_2-linear as a map
 on any binary field; these are the building blocks of every curve produced
-here.  Sparse polynomials hold the right-hand sides of the curve equations,
-whose degrees get large (x^288 and beyond) while their term counts stay
-tiny.
+here.  The matrix of such a map (the images of the basis gamma^i, for
+kernels and quadratic forms) comes from power chains: R(gamma^i) is
+sum a_s (gamma^(2^s))^i, one run of N products per nonzero coefficient.
+Sparse polynomials hold the right-hand sides of the curve equations, whose
+degrees get large (x^288 and beyond) while their term counts stay tiny.
 """
 
 from dataclasses import dataclass
@@ -79,6 +81,25 @@ def lin_eval(R, x):
     return acc
 
 
+def lin_images(R):
+    """[R(gamma^i) for i < N]: the images of the basis of R's field.
+
+    (gamma^i)^(2^s) = (gamma^(2^s))^i, so R(gamma^i) = sum_s a_s g_s^i with
+    g_s = gamma^(2^s): each nonzero a_s costs one chain of N products,
+    where evaluating at each basis vector in turn would square N times.
+    """
+    F = R.field
+    images = [0] * F.degree
+    g = F.generator
+    for a in R.coeffs:
+        if a:
+            for i in range(F.degree):
+                images[i] ^= a
+                a = F.mul(a, g)
+        g = F.sqr(g)
+    return images
+
+
 def lin_add(R, S):
     if R.field != S.field:
         raise ValueError("field mismatch")
@@ -128,8 +149,7 @@ def lin_kernel(R, ambient, embedding=None):
         if embedding is None:
             embedding = embedding_into(R.field, ambient)
         R = R.map_field(embedding)
-    images = [lin_eval(R, 1 << i) for i in range(ambient.degree)]
-    return F2LinearMap(images).kernel_basis()
+    return F2LinearMap(lin_images(R)).kernel_basis()
 
 
 def splitting_degree(R, max_degree=DEFAULT_MAX_DEGREE):

@@ -11,11 +11,16 @@ off the field's exp/log tables, whose base b need not be a: with
 L = log_b a and d = gcd(L, q - 1), c lies in the orbit of a iff d divides
 log_b c, and then e = (log_b c / d) (L / d)^-1 mod (q - 1) / d.  Larger
 fields run Pohlig-Hellman over the factorization of ord(a) (cached on the
-field), with baby-step giant-step for the digit at each prime.  A prime
-that would need more than _MAX_BABY_STEPS = 2^20 baby steps (p > 2^40,
-which among degrees up to 64 happens at 49, 59 and 61) has only digits
-below _SHORT_WALK = 2^12 found, by walking its powers; any other exponent
-there raises BudgetError (exit code 3) instead of grinding.
+field), with baby-step giant-step for the digit at each prime.  The
+baby-step table of a prime depends on the prime alone, so a table of at
+most _MAX_CACHED_STEPS = 2^16 steps (p <= 2^32, every prime of ord(a) at
+degrees up to 64 that is not beyond the next bound) is built once and kept
+on the field for its lifetime (about 5 MB at p = 2^31 - 1, 7.5 MB at the
+cap); a larger one is rebuilt for each coefficient.  A prime that would need more than
+_MAX_BABY_STEPS = 2^20 baby steps (p > 2^40, which among degrees up to 64
+happens at 49, 59 and 61) has only digits below _SHORT_WALK = 2^12 found,
+by walking its powers; any other exponent there raises BudgetError (exit
+code 3) instead of grinding.
 """
 
 from math import gcd, isqrt
@@ -26,6 +31,9 @@ from .linops import times_x
 
 # Baby-step giant-step keeps at most this many baby steps per prime.
 _MAX_BABY_STEPS = 1 << 20
+
+# Baby-step tables up to this size are kept on the field between calls.
+_MAX_CACHED_STEPS = 1 << 16
 
 # Digits at a prime beyond the baby-step bound are only looked for below
 # this, which still finds the small exponents (a^j, j < 64) that builders emit.
@@ -79,7 +87,7 @@ def _pohlig_hellman(F, c):
 
 
 def _bsgs(F, gamma, h, p):
-    """t in [0, p) with gamma^t = h, for gamma of prime order p."""
+    """t in [0, p) with gamma^t = h, for gamma = a^(ord(a)/p) of order p."""
     m = isqrt(p - 1) + 1        # m^2 >= p
     if m > _MAX_BABY_STEPS:
         v = 1
@@ -89,12 +97,17 @@ def _bsgs(F, gamma, h, p):
             v = F.mul(v, gamma)
         raise BudgetError("discrete log in F_2^%d needs %d baby steps for "
                           "the prime %d" % (F.degree, m, p))
-    baby = {}
-    v = 1
-    for j in range(m):
-        baby[v] = j
-        v = F.mul(v, gamma)
-    giant = F.pow(gamma, -m)
+    cached = F._baby_steps.get(p)
+    if cached is None:
+        baby = {}
+        v = 1
+        for j in range(m):
+            baby[v] = j
+            v = F.mul(v, gamma)
+        cached = (baby, F.pow(gamma, -m))
+        if m <= _MAX_CACHED_STEPS:
+            F._baby_steps[p] = cached
+    baby, giant = cached
     for i in range(m):
         j = baby.get(h)
         if j is not None:

@@ -6,7 +6,11 @@ Q(x) = Tr f(x) is an F_2-quadratic form on the field.  A point count is a
 character sum of such forms: sum_x (-1)^Q(x) is 0 when Q is not constant on
 the radical W of its bilinear form, and (-1)^Arf(Q) 2^((N + dim W)/2)
 otherwise.  Symplectic reduction finds W and the Arf sign exactly from
-O(N^2) field operations, without visiting the 2^N field elements.  Fibre
+O(N^2) field operations, without visiting the 2^N field elements.  The
+rows of the bilinear form are the basis images of a linearized polynomial,
+one power chain per coefficient (``lin_images``), read through the cached
+trace-dual matrix; coefficients reach the extension through embeddings
+found by trace splitting, and squarings read per-field byte tables.  Fibre
 products sum the forms of all component combinations, and single equations
 S(y) = T(x) sum the forms of alpha T over the kernel of the trace adjoint
 of S.  Only a right-hand side with an exponent of binary weight 3 or more
@@ -29,9 +33,10 @@ w^2 + w = x R(x) are certified structurally instead of being recounted.
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .builder import CurveSpec, FibreProductSpec, certificate, fibre_combinations
+from .builder import (CurveSpec, FibreProductSpec, certificate,
+                      fibre_combinations, stratum_rows)
 from .field import extend_and_embed
-from .linops import (as_genus, as_reduce, definition_field, lin, lin_eval,
+from .linops import (as_genus, as_reduce, definition_field, lin, lin_images,
                      lin_kernel)
 from .limits import DEFAULT_BUDGET, CapacityError
 from .quotient import QuotientCurve, decomposition, is_irreducible
@@ -165,7 +170,9 @@ def _quadratic_form(F, terms):
     Tr(h x^(2^s + 1)) with h = c^(2^-b) and s = a - b; these gather into
     Tr(x H(x)) with H = sum h_s x^(2^s) linearized.  Its bilinear form is
     Tr(P(x) y) with P = H + H*, H* = sum h_s^(2^-s) x^(2^-s) the adjoint.
-    The form is F_2-linear in f: the form of a sum is the xor of the forms.
+    The rows are read off the basis images of H and P (``lin_images``) and
+    the trace-dual matrix.  The form is F_2-linear in f: the form of a sum
+    is the xor of the forms.
     """
     n = F.degree
     const = lam = 0
@@ -200,13 +207,10 @@ def _quadratic_form(F, terms):
             k += 1
         return row
 
-    H, P = lin(F, h), lin(F, p)
     linear = trace_row(lam)
-    rows = []
-    for i in range(n):
-        x = 1 << i
-        linear ^= trace_row(lin_eval(H, x)) & x     # Q(x) = Tr(x H(x))
-        rows.append(trace_row(lin_eval(P, x)))
+    for i, v in enumerate(lin_images(lin(F, h))):
+        linear ^= trace_row(v) & (1 << i)           # Q(x) = Tr(x H(x))
+    rows = [trace_row(v) for v in lin_images(lin(F, p))]
     return F.trace(const), linear, rows
 
 
@@ -548,13 +552,10 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET):
     if not strata:
         raise CapacityError("cannot verify: no quotient pieces within capacity "
                             "and no construction bookkeeping to certify from")
-    prefix = 0
-    for u, dim in strata:
-        count = (1 << prefix) * ((1 << dim) - 1)
-        prefix += dim
+    for (u, _), (count, gp) in zip(strata, stratum_rows(strata)):
         report.pieces.append({
             "label": "stratum u=%d" % u, "count": count,
-            "genus": 1 << (u - 1), "mode": "certified-not-recounted",
+            "genus": gp, "mode": "certified-not-recounted",
             "supersingular": "certified",
         })
     report.checks["stratum_genus_total"] = (
@@ -570,11 +571,7 @@ def _genus_and_degree(curve, budget):
         return certificate(curve, exhaustive=False).total, curve.field.degree
     if isinstance(curve, CurveSpec):
         if curve.strata:
-            total = 0
-            prefix = 0
-            for u, dim in curve.strata:
-                total += (1 << prefix) * ((1 << dim) - 1) * (1 << (u - 1))
-                prefix += dim
+            total = sum(c * gp for c, gp in stratum_rows(curve.strata))
             return total, curve.field.degree
         pieces = decomposition(curve, max_degree=budget.max_degree)
         return sum(p.genus for p in pieces), curve.field.degree

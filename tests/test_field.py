@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sscurves.field import (F2LinearMap, embedding_into, extend_and_embed,
-                            f2_linear_solve, make_field, poly_roots)
+from sscurves import gf2x
+from sscurves.field import (BinaryField, F2LinearMap, embedding_into,
+                            extend_and_embed, f2_linear_solve, make_field,
+                            peval, poly_roots)
 from sscurves.limits import CapacityError
+
+SMALL = settings(max_examples=150, deadline=None)
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -169,3 +174,86 @@ def test_poly_roots_rejects_non_split():
     assert poly_roots(F2, [1, 1, 1]) is None
     # repeated roots rejected: (x-1)^2 = x^2 + 1 over F_4
     assert poly_roots(F4, [1, 0, 1]) is None
+
+
+# -- squaring tables and embedding roots against the direct routes -----------
+
+
+@SMALL
+@given(st.data(), st.integers(1, 64))
+def test_sqr_matches_polynomial_route(data, n):
+    # inputs run up to twice the degree plus a byte: unreduced ones have
+    # bits inside the last table and beyond every table
+    F = make_field(n)
+    a = data.draw(st.integers(0, (1 << (2 * n + 8)) - 1))
+    assert F.sqr(a) == gf2x.mod(gf2x.sqr(a), F.modulus)
+    b = data.draw(st.integers(0, F.order - 1))
+    assert F.sqr(b) == gf2x.mod(gf2x.sqr(b), F.modulus)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64])
+def test_sqr_on_every_basis_bit(n):
+    F = make_field(n)
+    for i in range(2 * n + 9):
+        assert F.sqr(1 << i) == gf2x.mod(1 << (2 * i), F.modulus)
+
+
+@SMALL
+@given(st.data(), st.integers(1, 64), st.integers(-130, 130))
+def test_frobenius_round_trip(data, n, k):
+    F = make_field(n)
+    a = data.draw(st.integers(0, F.order - 1))
+    assert F.frobenius(F.frobenius(a, k), -k) == a
+
+
+@SMALL
+@given(st.data(), st.integers(1, 8))
+def test_poly_roots_match_scan(data, n):
+    # random polynomials, and products of random linear factors (some
+    # repeated), against the roots found by scanning every element
+    F = make_field(n)
+    elem = st.integers(0, F.order - 1)
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(elem, min_size=1, max_size=7))
+    else:
+        coeffs = [data.draw(st.integers(1, F.order - 1))]
+        for r in data.draw(st.lists(elem, max_size=6)):
+            nxt = [0] * (len(coeffs) + 1)
+            for i, c in enumerate(coeffs):
+                nxt[i + 1] ^= c
+                nxt[i] ^= F.mul(c, r)
+            coeffs = nxt
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return
+    found = [x for x in range(F.order) if peval(F, coeffs, x) == 0]
+    deg = len(coeffs) - 1
+    assert poly_roots(F, coeffs) == (found if len(found) == deg else None)
+
+
+def scan_smallest_root(base, ext):
+    """Oracle: the least element of ext that is a root of base's modulus."""
+    coeffs = [(base.modulus >> i) & 1 for i in range(base.degree + 1)]
+    return min(x for x in ext.elements() if peval(ext, coeffs, x) == 0)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_embedding_image_is_smallest_root(n):
+    # the prime field's modulus is x, so its generator 1 is no root of it
+    ext = make_field(n)
+    for d in range(2, n + 1):
+        if n % d == 0:
+            base = make_field(d)
+            emb = embedding_into(base, ext)
+            assert emb(base.generator) == scan_smallest_root(base, ext)
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 6), (4, 8), (2, 8), (3, 9)])
+def test_embedding_of_every_modulus(d, n):
+    ext = make_field(n)
+    for f in range(1 << d, 1 << (d + 1)):
+        if gf2x.is_irreducible(f):
+            base = BinaryField(d, f)
+            g = embedding_into(base, ext)(base.generator)
+            assert g == scan_smallest_root(base, ext)

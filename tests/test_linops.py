@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sscurves.field import embedding_into, make_field
 from sscurves.linops import (as_genus, as_reduce, lin, lin_add, lin_compose,
-                             lin_eval, lin_kernel, lin_monomial, lin_twist,
+                             lin_eval, lin_images, lin_kernel, lin_monomial,
+                             lin_twist,
                              definition_field, sparse, sparse_add,
                              sparse_twist, splitting_degree, times_x)
 
@@ -31,6 +33,15 @@ def test_lin_eval():
     emb = embedding_into(F2, F64)
     for b in lin_kernel(G2, F64):
         assert lin_eval(G2.map_field(emb), b) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 24))
+def test_lin_images_match_lin_eval(data, n):
+    F = make_field(n)
+    R = lin(F, data.draw(st.lists(st.integers(0, F.order - 1),
+                                  max_size=n + 3)))
+    assert lin_images(R) == [lin_eval(R, 1 << i) for i in range(n)]
 
 
 def test_lin_eval_linearity():

@@ -1,9 +1,10 @@
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sscurves import gf2x
+from sscurves import gf2x, render
 from sscurves.field import BinaryField, make_field
 from sscurves.limits import BudgetError
 from sscurves.render import _dlog, coeff_text
@@ -99,3 +100,28 @@ def test_large_prime_factor_fails_fast():
     with pytest.raises(BudgetError):
         _dlog(F, F.pow(F.generator, 1 << 40))
     assert time.perf_counter() - t0 < 5
+
+
+@pytest.mark.parametrize("n", [31, 36])
+def test_cached_baby_steps_give_the_same_logs(n):
+    # 2^31 - 1 is prime; 2^36 - 1 has 3^3, so one table serves three digits
+    shared = make_field(n)
+    order, factors = shared.generator_order()
+    rng = random.Random(n)
+    for _ in range(5):
+        e = rng.randrange(order)
+        c = shared.pow(shared.generator, e)
+        fresh = BinaryField(n, shared.modulus)      # no tables cached yet
+        assert _dlog(shared, c) == _dlog(fresh, c) == e
+    tables = dict(shared._baby_steps)
+    assert set(tables) == {p for p, _ in factors}
+    assert _dlog(shared, c) == e                    # built once, then reused
+    assert all(shared._baby_steps[p] is t for p, t in tables.items())
+
+
+def test_large_baby_step_tables_are_not_kept(monkeypatch):
+    monkeypatch.setattr(render, "_MAX_CACHED_STEPS", 1 << 10)
+    F = BinaryField(31, make_field(31).modulus)     # m = 46341 > 2^10
+    for e in (5, 1 << 30, 123456789):
+        assert _dlog(F, F.pow(F.generator, e)) == e
+    assert F._baby_steps == {}

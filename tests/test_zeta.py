@@ -210,6 +210,49 @@ def test_quadratic_route_matches_enumeration_fibre(data, d, k, tops):
         ext, comps, 0, ext.order)
 
 
+def per_basis_form(F, terms):
+    """Oracle: the form of Tr f(x), evaluating H and P at each basis vector."""
+    n = F.degree
+    const = lam = 0
+    h = [0] * n
+    for e, c in terms:
+        if e == 0:
+            const ^= c
+            continue
+        b = (e & -e).bit_length() - 1
+        a = e.bit_length() - 1
+        c = F.frobenius(c, -b)
+        if a == b:
+            lam ^= c
+        else:
+            h[(a - b) % n] ^= c
+    p = list(h)
+    for s, hs in enumerate(h):
+        if hs:
+            p[-s % n] ^= F.frobenius(hs, -s)
+
+    def trace_row(z):
+        return sum(F.trace(F.mul(z, 1 << j)) << j for j in range(n))
+
+    H, P = lin(F, h), lin(F, p)
+    linear = trace_row(lam)
+    rows = []
+    for i in range(n):
+        x = 1 << i
+        linear ^= trace_row(lin_eval(H, x)) & x
+        rows.append(trace_row(lin_eval(P, x)))
+    return F.trace(const), linear, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(1, 4), st.integers(2, 4))
+def test_quadratic_form_matches_per_basis_construction(data, d, k, u):
+    F = make_field(d)
+    ext, emb = extend_and_embed(F, k)
+    terms = data.draw(quadratic_rhs(F, u)).map_field(emb).terms
+    assert zeta._quadratic_form(ext, terms) == per_basis_form(ext, terms)
+
+
 def enumerate_single(c, k):
     """Oracle for S(y) = T(x): |ker S| points over each x with T(x) in im S."""
     ext, emb = extend_and_embed(c.field, k)

@@ -140,18 +140,16 @@ def fibre_combinations(spec):
         yield mask, acc
 
 
-def certificate(spec, exhaustive=None):
+def certificate(spec):
     """Genus certificate of a fibre product.
 
-    The strata rows come from block arithmetic; for small weight (default
-    w <= 20) every nonzero combination is additionally checked with the
-    Artin-Schreier genus formula and any mismatch is an internal error.
+    The strata rows come from block arithmetic; for weight w <= 20 every
+    nonzero combination is additionally checked with the Artin-Schreier
+    genus formula and any mismatch is an internal error.
     """
     rows = stratum_rows(spec.strata)
     total = sum(c * g for c, g in rows)
-    if exhaustive is None:
-        exhaustive = spec.weight <= EXHAUSTIVE_WEIGHT_LIMIT
-    if exhaustive:
+    if spec.weight <= EXHAUSTIVE_WEIGHT_LIMIT:
         expected = {}
         for count, g in rows:
             expected[g] = expected.get(g, 0) + count

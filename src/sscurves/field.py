@@ -220,7 +220,7 @@ class BinaryField:
         if self.degree > _TABLE_MAX_DEGREE:
             return False
         q1 = self.order - 1
-        base = self._find_primitive()
+        base = self.primitive()
         exp = [1] * q1
         log = [0] * self.order
         v = 1
@@ -231,7 +231,8 @@ class BinaryField:
         self._exp, self._log = exp, log
         return True
 
-    def _find_primitive(self):
+    def primitive(self):
+        """The smallest element whose powers fill F_q^x (1 for the prime field)."""
         q1 = self.order - 1
         primes = [p for p, _ in gf2x.factorize(q1)]
         for candidate in range(2, self.order):
@@ -389,19 +390,6 @@ def ptrim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def pmul(F, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    mul = F.mul
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] ^= mul(ai, bj)
-    return ptrim(out)
 
 
 def pdivmod(F, a, b):

@@ -81,10 +81,6 @@ def gcd(a, b):
     return a
 
 
-def mulmod(a, b, m):
-    return mod(mul(a, b), m)
-
-
 def sqrmod(a, m):
     return mod(sqr(a), m)
 

@@ -25,7 +25,6 @@ code 3) instead of grinding.
 
 from math import gcd, isqrt
 
-from .builder import CurveSpec, FibreProductSpec
 from .limits import BudgetError
 from .linops import times_x
 
@@ -162,11 +161,3 @@ def component_lines(spec):
     """Lines 'y_j^2+y_j = f_j' for a fibre product."""
     return ["y_%d^2+y_%d = %s" % (j, j, sparse_text(f))
             for j, f in enumerate(spec.components)]
-
-
-def curve_text(curve):
-    if isinstance(curve, CurveSpec):
-        return equation_text(curve)
-    if isinstance(curve, FibreProductSpec):
-        return "\n".join(component_lines(curve))
-    raise TypeError("cannot render %r" % type(curve).__name__)

@@ -10,11 +10,12 @@ O(N^2) field operations, without visiting the 2^N field elements.  The
 rows of the bilinear form are the basis images of a linearized polynomial,
 one power chain per coefficient (``lin_images``), read through the cached
 trace-dual matrix; coefficients reach the extension through embeddings
-found by trace splitting, and squarings read per-field byte tables.  Fibre
-products sum the forms of all component combinations, and single equations
-S(y) = T(x) sum the forms of alpha T over the kernel of the trace adjoint
-of S.  Only a right-hand side with an exponent of binary weight 3 or more
-(a hand-written curve file, say) is counted by enumerating the field.
+found by trace splitting, and squarings read per-field byte tables.  Every
+count is one step over right-hand sides f_j with 2^w points over x when
+all Tr f_j(x) vanish (fibre product components, or alpha T over a basis of
+the kernel of the trace adjoint of S in S(y) = T(x)), which sums the forms
+of the F_2-span of the f_j.  Only an exponent of binary weight 3 or more
+(a hand-written curve file, say) makes it enumerate the field instead.
 Either way a count is admitted by the same explicit budget on the field
 size.
 
@@ -33,8 +34,8 @@ w^2 + w = x R(x) are certified structurally instead of being recounted.
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .builder import (CurveSpec, FibreProductSpec, certificate,
-                      fibre_combinations, stratum_rows)
+from .builder import (CurveSpec, FibreProductSpec, fibre_combinations,
+                      stratum_rows)
 from .field import extend_and_embed
 from .linops import (as_genus, as_reduce, definition_field, lin, lin_images,
                      lin_kernel)
@@ -88,7 +89,7 @@ class NPReport:
 # -- point counting -----------------------------------------------------------
 
 
-def count_points(curve, k, budget=DEFAULT_BUDGET, chunks=1):
+def count_points(curve, k, budget=DEFAULT_BUDGET):
     """Number of points of the curve over the degree-k extension of its field.
 
     Exactly one point at infinity is added; this needs every index-2 quotient
@@ -96,15 +97,15 @@ def count_points(curve, k, budget=DEFAULT_BUDGET, chunks=1):
     is checked before counting.
     """
     if isinstance(curve, QuotientCurve):
-        return count_artin_schreier(curve.rhs, k, budget, chunks)
+        return count_artin_schreier(curve.rhs, k, budget)
     if isinstance(curve, FibreProductSpec):
-        return _count_fibre(curve, k, budget, chunks)
+        return _count_fibre(curve, k, budget)
     if isinstance(curve, CurveSpec):
         return _count_single(curve, k, budget)
     raise TypeError("cannot count points of %r" % type(curve).__name__)
 
 
-def count_artin_schreier(rhs, k, budget=DEFAULT_BUDGET, chunks=1):
+def count_artin_schreier(rhs, k, budget=DEFAULT_BUDGET):
     """Points of w^2 + w = rhs over the degree-k extension of rhs's field."""
     reduced = as_reduce(rhs)
     if reduced.is_zero() or reduced.degree % 2 == 0:
@@ -113,21 +114,14 @@ def count_artin_schreier(rhs, k, budget=DEFAULT_BUDGET, chunks=1):
     F = rhs.field
     budget.check_points(F.degree * k)
     ext, emb = extend_and_embed(F, k)
-    terms = rhs.map_field(emb).terms
-    form = _quadratic_form(ext, terms)
-    if form is not None:
-        return 1 + _span_sum(ext.degree, [form])
-    total = 1
-    for lo, hi in _ranges(ext.order, chunks):
-        total += _as_range(ext, terms, lo, hi)
-    return total
+    return _count(ext, [rhs.map_field(emb).terms])
 
 
 def _count_single(c, k, budget):
-    # #{y : S(y) = t} is the sum of (-1)^Tr(alpha t) over alpha in the kernel
-    # of the trace adjoint S*(alpha) = sum_i (A_i alpha)^(2^-i); the count is
-    # 1 plus the character sums of alpha T.  S*(alpha)^(2^n) is linearized
-    # over the base field with coefficients A_(n-i)^(2^i).
+    # #{y : S(y) = t} is 2^w if Tr(alpha t) = 0 on the w-dimensional kernel
+    # of the trace adjoint S*(alpha) = sum_i (A_i alpha)^(2^-i), else 0: the
+    # fibre product of the alpha T over a kernel basis.  S*(alpha)^(2^n) is
+    # linearized over the base field with coefficients A_(n-i)^(2^i).
     if not is_irreducible(c):
         raise ValueError("curve is reducible")
     budget.check_points(c.field.degree * k)
@@ -135,12 +129,11 @@ def _count_single(c, k, budget):
     F, n = c.field, c.n
     adjoint = lin(F, [F.frobenius(c.S.coeff(n - i), i) for i in range(n + 1)])
     terms = c.derived_T().map_field(emb).terms
-    forms = [_quadratic_form(ext, [(e, ext.mul(alpha, t)) for e, t in terms])
-             for alpha in lin_kernel(adjoint, ext, emb)]
-    return 1 + _span_sum(ext.degree, forms)
+    return _count(ext, [[(e, ext.mul(alpha, t)) for e, t in terms]
+                        for alpha in lin_kernel(adjoint, ext, emb)])
 
 
-def _count_fibre(spec, k, budget, chunks):
+def _count_fibre(spec, k, budget):
     budget.check_points(spec.field.degree * k)
     for _, f in fibre_combinations(spec):
         r = as_reduce(f)
@@ -148,15 +141,20 @@ def _count_fibre(spec, k, budget, chunks):
             raise ValueError("fibre product has a component combination with "
                              "even reduced degree")
     ext, emb = extend_and_embed(spec.field, k)
-    comps = [f.map_field(emb).terms for f in spec.components]
-    forms = [_quadratic_form(ext, terms) for terms in comps]
-    if None not in forms:
-        # the y-tuples over x number sum_mask (-1)^Tr f_mask(x)
-        return 1 + _span_sum(ext.degree, forms)
-    total = 1
-    for lo, hi in _ranges(ext.order, chunks):
-        total += _fibre_range(ext, comps, lo, hi)
-    return total
+    return _count(ext, [f.map_field(emb).terms for f in spec.components])
+
+
+def _count(ext, term_lists):
+    """1 + sum over x of 2^w [Tr f_j(x) = 0 for j < w], f_j the term lists.
+
+    The bracket times 2^w is the sum of (-1)^Tr f(x) over the 2^w
+    F_2-combinations f of the f_j, so when every f_j has a quadratic form
+    the count is their span's character sums; otherwise x is enumerated.
+    """
+    forms = [_quadratic_form(ext, terms) for terms in term_lists]
+    if None in forms:
+        return 1 + _enumerate(ext, term_lists)
+    return 1 + _span_sum(ext.degree, forms)
 
 
 # -- character sums of quadratic forms on F_2^N (coordinates: bits of x) ------
@@ -194,23 +192,12 @@ def _quadratic_form(F, terms):
     for s, hs in enumerate(h):
         if hs:
             p[-s % n] ^= F.frobenius(hs, -s)
+    # _xor_rows(dual, z) is the mask of j with Tr(z gamma^j) = 1
     dual = F.trace_dual()
-
-    def trace_row(z):
-        # the mask of j with Tr(z gamma^j) = 1
-        row = 0
-        k = 0
-        while z:
-            if z & 1:
-                row ^= dual[k]
-            z >>= 1
-            k += 1
-        return row
-
-    linear = trace_row(lam)
+    linear = _xor_rows(dual, lam)
     for i, v in enumerate(lin_images(lin(F, h))):
-        linear ^= trace_row(v) & (1 << i)           # Q(x) = Tr(x H(x))
-    rows = [trace_row(v) for v in lin_images(lin(F, p))]
+        linear ^= _xor_rows(dual, v) & (1 << i)     # Q(x) = Tr(x H(x))
+    rows = [_xor_rows(dual, v) for v in lin_images(lin(F, p))]
     return F.trace(const), linear, rows
 
 
@@ -269,78 +256,67 @@ def _char_sum(n, const, linear, rows):
 
 # -- enumeration, for right-hand sides with exponents of binary weight >= 3 ---
 
-
-def _ranges(n, chunks):
-    chunks = max(1, min(chunks, n))
-    step = -(-n // chunks)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+# x = b^i is enumerated in blocks of this many consecutive i.
+_BLOCK = 1 << 16
 
 
-def _as_range(ext, terms, lo, hi):
-    tmask = ext.trace_mask()
-    const = 0
-    pos = []
-    for e, c in terms:
-        if e:
-            pos.append((e, c))
-        else:
-            const = c
-    count = 0
-    if ext.ensure_tables():
-        exp, log = ext.tables
-        q1 = ext.order - 1
-        pairs = [(e, log[c]) for e, c in pos]
-        for x in range(lo, hi):
-            if x:
-                lx = log[x]
-                v = const
-                for e, lc in pairs:
-                    v ^= exp[(lx * e + lc) % q1]
-            else:
-                v = const
-            if not (v & tmask).bit_count() & 1:
-                count += 2
-        return count
-    for x in range(lo, hi):
-        v = const
-        for e, c in pos:
-            v ^= ext.mul(c, ext.pow(x, e)) if x else 0
-        if not (v & tmask).bit_count() & 1:
-            count += 2
-    return count
+def _enumerate(ext, term_lists):
+    """2^w #{x : Tr f_j(x) = 0 for every j}, f_j the w lists of terms (e, c).
+
+    x runs over 0 and the powers b^i of a primitive element b, in blocks of
+    consecutive i.  Over a block from b^i0, the trace bits Tr(c b^(e i)) of
+    a term are F_2-linear in y = c b^(e i0): one int, the xor of the rows of
+    ``_trace_rows`` over the bits of y.  y steps to the next block by one
+    product.  x counts when its bit is clear in every list.
+    """
+    b = ext.primitive()
+    units = ext.order - 1
+    span = min(units, _BLOCK)
+    walks = [[[c, _trace_rows(ext, ext.pow(b, e), span), ext.pow(b, e * span)]
+              for e, c in terms] for terms in term_lists]
+    # x = 0 leaves the constant terms
+    count = int(not any(ext.trace(dict(terms).get(0, 0))
+                        for terms in term_lists))
+    for lo in range(0, units, span):
+        odd = 0
+        for walk in walks:
+            bits = 0
+            for term in walk:
+                y, rows, step = term
+                bits ^= _xor_rows(rows, y)
+                term[0] = ext.mul(y, step)
+            odd |= bits
+        width = min(span, units - lo)
+        count += width - (odd & ((1 << width) - 1)).bit_count()
+    return count << len(term_lists)
 
 
-def _fibre_range(ext, comps, lo, hi):
-    tmask = ext.trace_mask()
-    fibre = 1 << len(comps)
-    count = 0
-    use_tables = ext.ensure_tables()
-    if use_tables:
-        exp, log = ext.tables
-        q1 = ext.order - 1
-        prepared = [[(e, log[c]) for e, c in terms] for terms in comps]
-    for x in range(lo, hi):
-        ok = True
-        if use_tables and x:
-            lx = log[x]
-            for pairs in prepared:
-                v = 0
-                for e, lc in pairs:
-                    v ^= exp[(lx * e + lc) % q1]
-                if (v & tmask).bit_count() & 1:
-                    ok = False
-                    break
-        else:
-            for terms in comps:
-                v = 0
-                for e, c in terms:
-                    v ^= ext.mul(c, ext.pow(x, e)) if x or e == 0 else 0
-                if (v & tmask).bit_count() & 1:
-                    ok = False
-                    break
-        if ok:
-            count += fibre
-    return count
+def _trace_rows(ext, s, length):
+    """Ints r_k, k < N, whose bit i is Tr(gamma^k s^i) for every i < length.
+
+    The bits of y are F_2-linear in y, so rows of twice the length are the
+    rows followed by those of gamma^k s^L, each an xor of the rows.
+    """
+    rows = [ext.trace(1 << k) for k in range(ext.degree)]
+    span, power = 1, s
+    while span < length:
+        rows = [r | _xor_rows(rows, ext.mul(1 << k, power)) << span
+                for k, r in enumerate(rows)]
+        span <<= 1
+        power = ext.sqr(power)
+    return rows
+
+
+def _xor_rows(rows, z):
+    """The xor of rows[k] over the set bits k of z."""
+    acc = 0
+    k = 0
+    while z:
+        if z & 1:
+            acc ^= rows[k]
+        z >>= 1
+        k += 1
+    return acc
 
 
 def count_series(curve, genus, budget=DEFAULT_BUDGET, kmax=None):
@@ -567,12 +543,11 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET):
 def _genus_and_degree(curve, budget):
     if isinstance(curve, QuotientCurve):
         return curve.genus, curve.rhs.field.degree
-    if isinstance(curve, FibreProductSpec):
-        return certificate(curve, exhaustive=False).total, curve.field.degree
+    if isinstance(curve, FibreProductSpec) or (
+            isinstance(curve, CurveSpec) and curve.strata):
+        total = sum(c * gp for c, gp in stratum_rows(curve.strata))
+        return total, curve.field.degree
     if isinstance(curve, CurveSpec):
-        if curve.strata:
-            total = sum(c * gp for c, gp in stratum_rows(curve.strata))
-            return total, curve.field.degree
         pieces = decomposition(curve, max_degree=budget.max_degree)
         return sum(p.genus for p in pieces), curve.field.degree
     raise TypeError("cannot verify %r" % type(curve).__name__)

@@ -1,14 +1,16 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sscurves import zeta
+from sscurves import field, zeta
 from sscurves.builder import (CurveSpec, FibreProductSpec, build_components,
                               build_prime_field, glue_single_block)
 from sscurves.decomp import decompose
 from sscurves.field import F2LinearMap, extend_and_embed, make_field
+from sscurves.gf2x import smallest_irreducible
 from sscurves.limits import Budget, BudgetError
 from sscurves.linops import lin, lin_compose, lin_eval, sparse, sparse_eval
 from sscurves.quotient import QuotientCurve, is_irreducible
@@ -122,41 +124,66 @@ def test_maximal_curve_value():
     assert count_points(q5, 4) == 33
 
 
-def test_count_chunk_determinism():
-    c5 = build_prime_field(decompose(5))
-    assert count_points(c5, 3, chunks=1) == count_points(c5, 3, chunks=4)
-    q = QuotientCurve(0, sparse(F2, {9: 1, 3: 1}), 4)
-    assert count_points(q, 4, chunks=1) == count_points(q, 4, chunks=7)
-    spec = build_components(decompose(5))
-    assert count_points(spec, 3, chunks=1) == count_points(spec, 3, chunks=5)
-
-
-def test_count_chunk_determinism_enumerated():
-    # right-hand sides with an x^7 term are enumerated, in chunks
-    q = QuotientCurve(0, sparse(F2, {7: 1, 3: 1}), 3)
-    assert count_points(q, 4, chunks=1) == count_points(q, 4, chunks=7)
-    spec = FibreProductSpec(F4, (sparse(F4, {7: 1}), sparse(F4, {3: 2, 1: 1})),
-                            ())
-    assert count_points(spec, 2, chunks=1) == count_points(spec, 2, chunks=5)
-    assert count_points(spec, 1, chunks=3) == brute_count_fibre(F4, spec)
-
-
 def test_weight_three_exponent_is_enumerated(monkeypatch):
     calls = []
-    as_range = zeta._as_range
+    enumerate_ = zeta._enumerate
 
-    def spy(*args):
-        calls.append(args[2:])
-        return as_range(*args)
+    def spy(ext, term_lists):
+        calls.append(ext.degree)
+        return enumerate_(ext, term_lists)
 
-    monkeypatch.setattr(zeta, "_as_range", spy)
+    monkeypatch.setattr(zeta, "_enumerate", spy)
     f = sparse(F2, {7: 1})
     for k in (1, 2, 3, 4):
         ext, emb = extend_and_embed(F2, k)
         assert zeta._quadratic_form(ext, f.map_field(emb).terms) is None
         assert count_artin_schreier(f, k) == brute_count_artin_schreier(
             ext, f.map_field(emb))
-    assert calls == [(0, 2), (0, 4), (0, 8), (0, 16)]
+    assert calls == [1, 2, 3, 4]
+
+
+def test_weight_three_fibre_file_through_cli(tmp_path, capsys):
+    # a hand-written fibre product with an x^7 term is counted by the walk
+    from sscurves.cli import main
+    a = F4.generator
+    comps = (sparse(F4, {9: 1, 7: a, 0: 1}), sparse(F4, {5: a, 3: 1, 1: a}))
+    doc = {"format": "curve", "kind": "fibre_product",
+           "field": {"degree": 2, "modulus": "0x7"},
+           "components": [{"terms": [{"exp": e, "coeff": hex(c)}
+                                     for e, c in f.terms]} for f in comps]}
+    path = tmp_path / "weight3.json"
+    path.write_text(json.dumps(doc))
+    for k in (1, 2):
+        assert main(["count", str(path), "--json", "--ext", str(k)]) == 0
+        got = json.loads(capsys.readouterr().out)
+        ext, emb = extend_and_embed(F4, k)
+        spec = FibreProductSpec(ext, tuple(f.map_field(emb) for f in comps),
+                                ())
+        assert got == {"ext": k, "count": brute_count_fibre(ext, spec)}, k
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_without_tables(monkeypatch, n):
+    # the walk with bit-serial products, in one block and in blocks of 3
+    # (several blocks and a short last one); the prime field, x = 0 and
+    # constant terms included
+    monkeypatch.setattr(field, "_TABLE_MAX_DEGREE", 0)
+    F = field.BinaryField(n, smallest_irreducible(n))
+    assert not F.ensure_tables()
+    rng = random.Random(n)
+    exps = (0, 1, 3, 5, 7, 11, 13, 19)
+    for _ in range(3):
+        comps = [sparse(F, {rng.choice(exps): rng.randrange(F.order)
+                            for _ in range(rng.randrange(1, 5))})
+                 for _ in range(rng.randrange(1, 4))]
+        spec = FibreProductSpec(F, tuple(comps), ())
+        want = (brute_count_artin_schreier(F, comps[0]),
+                brute_count_fibre(F, spec))
+        for block in (zeta._BLOCK, 3):
+            monkeypatch.setattr(zeta, "_BLOCK", block)
+            assert (1 + zeta._enumerate(F, [comps[0].terms]),
+                    1 + zeta._enumerate(F, [f.terms for f in comps])) == want
+    assert F.tables == (None, None)
 
 
 # -- the quadratic-form route against enumeration -----------------------------
@@ -193,8 +220,7 @@ def test_quadratic_route_matches_enumeration(data, d, k, u):
     ext, emb = extend_and_embed(F, k)
     terms = f.map_field(emb).terms
     assert zeta._quadratic_form(ext, terms) is not None
-    assert count_artin_schreier(f, k) == 1 + zeta._as_range(
-        ext, terms, 0, ext.order)
+    assert count_artin_schreier(f, k) == 1 + zeta._enumerate(ext, [terms])
 
 
 @SMALL
@@ -206,8 +232,7 @@ def test_quadratic_route_matches_enumeration_fibre(data, d, k, tops):
         F, tuple(data.draw(quadratic_rhs(F, u)) for u in tops), ())
     ext, emb = extend_and_embed(F, k)
     comps = [f.map_field(emb).terms for f in spec.components]
-    assert count_points(spec, k) == 1 + zeta._fibre_range(
-        ext, comps, 0, ext.order)
+    assert count_points(spec, k) == 1 + zeta._enumerate(ext, comps)
 
 
 def per_basis_form(F, terms):

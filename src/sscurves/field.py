@@ -277,6 +277,18 @@ def byte_tables(images):
     return tables
 
 
+def _xor_rows(rows, z):
+    """The xor of rows[k] over the set bits k of z."""
+    acc = 0
+    k = 0
+    while z:
+        if z & 1:
+            acc ^= rows[k]
+        z >>= 1
+        k += 1
+    return acc
+
+
 _FIELD_CACHE = {}
 
 
@@ -299,41 +311,19 @@ def make_field(n, max_degree=DEFAULT_MAX_DEGREE):
 class F2LinearMap:
     """Echelonized form of an F_2-linear map on a field, given basis images.
 
-    images[i] is the image of the basis bit 1 << i.  Because field elements
+    images[i] is the image of the basis bit 1 << i.  The graph of the map,
+    spanned by images[i] << dim | 1 << i, is held in reduced echelon form:
+    the rows with a zero top part are the kernel, and every other row pairs
+    an image (top part) with a preimage (low part).  Because field elements
     are bit vectors, preimage masks are themselves field elements.
     """
 
     def __init__(self, images):
-        self.dim = len(images)
-        self.rows = []  # (pivot_bit, value, preimage), pivots decreasing
-        kernel = []
-        for i, v in enumerate(images):
-            pre = 1 << i
-            v, pre = self._reduce(v, pre)
-            if v == 0:
-                kernel.append(pre)
-            else:
-                self._insert(v, pre)
+        self.dim = dim = len(images)
+        rows = _echelonize([v << dim | 1 << i for i, v in enumerate(images)])
+        self._kernel = [r for r in rows if not r >> dim]
+        self.rows = [r for r in rows if r >> dim]
         self.rank = len(self.rows)
-        self._kernel = _echelonize(kernel)
-
-    def _reduce(self, v, pre):
-        for piv, row_v, row_p in self.rows:
-            if v & piv:
-                v ^= row_v
-                pre ^= row_p
-        return v, pre
-
-    def _insert(self, v, pre):
-        piv = 1 << (v.bit_length() - 1)
-        rows = [(piv, v, pre)]
-        for p2, v2, pre2 in self.rows:
-            if v2 & piv:
-                v2 ^= v
-                pre2 ^= pre
-            rows.append((p2, v2, pre2))
-        rows.sort(key=lambda r: -r[0])
-        self.rows = rows
 
     def kernel_basis(self):
         """Canonical (echelon, ascending) basis of the kernel."""
@@ -343,28 +333,26 @@ class F2LinearMap:
         return 1 << (self.dim - self.rank)
 
     def image_contains(self, target):
-        for piv, v, _ in self.rows:
-            if target & piv:
-                target ^= v
-        return target == 0
+        return self.solve(target) is not None
 
     def solve(self, target):
         """One preimage of target, or None if target is outside the image."""
-        pre = 0
-        for piv, v, row_p in self.rows:
-            if target & piv:
-                target ^= v
-                pre ^= row_p
-        return pre if target == 0 else None
+        dim = self.dim
+        t = target << dim
+        for r in self.rows:
+            if t ^ r < t:       # the top bit of r is set in t
+                t ^= r
+        return None if t >> dim else t
 
 
 def _echelonize(vecs):
     basis = []
     for v in vecs:
         for b in basis:
-            v = min(v, v ^ b)
+            if v ^ b < v:
+                v ^= b
         if v:
-            basis = [min(b, b ^ v) for b in basis]
+            basis = [b ^ v if b ^ v < b else b for b in basis]
             basis.append(v)
     return sorted(basis)
 
@@ -533,14 +521,7 @@ class FieldEmbedding:
     def __call__(self, e):
         if self.base is self.ext:
             return e
-        acc = 0
-        i = 0
-        while e:
-            if e & 1:
-                acc ^= self._powers[i]
-            e >>= 1
-            i += 1
-        return acc
+        return _xor_rows(self._powers, e)
 
     def preimage(self, e):
         """The base-field element mapping to e, or None if e is outside."""

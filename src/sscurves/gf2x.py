@@ -2,8 +2,8 @@
 
 A polynomial sum b_i x^i is stored as the integer sum b_i 2^i, so addition
 is xor and multiplication by x is a left shift.  This keeps the hot loops
-(irreducibility tests, gcds of degree-4096 polynomials) inside CPython's
-bignum layer where they run on machine words.
+(irreducibility tests of field moduli) inside CPython's bignum layer where
+they run on machine words.
 
 The module also factors integers (``factorize``), for the orders 2^n - 1
 of multiplicative groups.

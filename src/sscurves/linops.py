@@ -5,15 +5,18 @@ on any binary field; these are the building blocks of every curve produced
 here.  The matrix of such a map (the images of the basis gamma^i, for
 kernels and quadratic forms) comes from power chains: R(gamma^i) is
 sum a_s (gamma^(2^s))^i, one run of N products per nonzero coefficient.
+Under composition the linearized polynomials over F_(2^d) form a ring with
+right division (``lin_rmod``), so questions about their roots are answered
+on their h + 1 coefficients, never on ordinary polynomials of degree 2^h:
+common roots are the roots of a right gcd, and all roots of R lie in
+F_(q^k) exactly when R right-divides x^(q^k) + x.
 Sparse polynomials hold the right-hand sides of the curve equations, whose
 degrees get large (x^288 and beyond) while their term counts stay tiny.
 """
 
 from dataclasses import dataclass
 
-from . import gf2x
-from .field import (BinaryField, F2LinearMap, embedding_into, make_field,
-                    pmod, psqr, ptrim)
+from .field import BinaryField, F2LinearMap, embedding_into, make_field
 from .limits import DEFAULT_MAX_DEGREE, CapacityError
 
 
@@ -41,16 +44,6 @@ class LinPoly:
 
     def support(self):
         return [i for i, a in enumerate(self.coeffs) if a]
-
-    def ordinary_coeffs(self):
-        """Coefficient list of the underlying ordinary polynomial."""
-        if not self.coeffs:
-            return []
-        out = [0] * ((1 << (len(self.coeffs) - 1)) + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out[1 << i] = a
-        return out
 
     def map_field(self, embedding):
         return lin(embedding.ext, [embedding(a) for a in self.coeffs])
@@ -137,6 +130,32 @@ def lin_compose(R, S):
     return lin(F, out)
 
 
+def lin_rmod(R, S):
+    """The right remainder of R by nonzero S: R = Q(S(x)) + rem, rem.h < S.h.
+
+    The top term c x^(2^m) of R, m >= h = S.h, cancels against
+    b (S(x))^(2^j) with j = m - h and b = c / s_h^(2^j): the twist of S by j
+    scaled by b.  Roots of S are roots of R - rem.
+    """
+    if R.field != S.field:
+        raise ValueError("field mismatch")
+    if S.is_zero():
+        raise ZeroDivisionError("right division by the zero polynomial")
+    F = R.field
+    h = S.h
+    inv_top = F.inv(S.coeffs[-1])
+    r = list(R.coeffs)
+    while len(r) > h:
+        j = len(r) - 1 - h
+        b = F.mul(r.pop(), F.frobenius(inv_top, j))
+        for i, s in enumerate(S.coeffs[:-1]):
+            if s:
+                r[i + j] ^= F.mul(b, F.frobenius(s, j))
+        while r and r[-1] == 0:
+            r.pop()
+    return LinPoly(F, tuple(r))
+
+
 def lin_kernel(R, ambient, embedding=None):
     """Canonical F_2-basis of the roots of R in the ambient field.
 
@@ -155,35 +174,27 @@ def lin_kernel(R, ambient, embedding=None):
 def splitting_degree(R, max_degree=DEFAULT_MAX_DEGREE):
     """Least k such that all roots of R lie in the degree-k extension of its field.
 
-    Requires a separable input (a_0 != 0).  Equals the lcm of the degrees of
-    the irreducible factors of R as an ordinary polynomial; found by iterating
-    the field Frobenius modulo R, which caps the work at max_degree steps.
+    Requires a separable input (a_0 != 0).  With q the order of R's field,
+    the roots lie in F_(q^k) exactly when R right-divides x^(q^k) + x, that
+    is when x^(q^k) leaves the remainder x.  Squaring the remainder of
+    x^(2^i) (a twist) and reducing it again gives that of x^(2^(i+1)), so the
+    work is h + 1 coefficients per step, capped at max_degree // d steps.
     """
     if R.is_zero():
         raise ValueError("zero polynomial has no splitting field")
     if R.coeff(0) == 0:
         raise ValueError("inseparable (a_0 = 0): roots are not distinct")
     F = R.field
-    cap = max_degree // F.degree
-    if F.degree == 1:
-        f = sum(1 << (1 << i) for i in R.support())
-        k = gf2x.frobenius_order(f, cap)
-    else:
-        f = R.ordinary_coeffs()
-        x = pmod(F, [0, 1], f)
-        t = x
-        k = None
-        for step in range(1, cap + 1):
-            for _ in range(F.degree):
-                t = pmod(F, psqr(F, t), f)
-            if ptrim(list(t)) == x:
-                k = step
-                break
-    if k is None:
-        raise CapacityError(
-            "splitting field of 2-degree-%d polynomial exceeds degree %d"
-            % (R.h, max_degree))
-    return k
+    x = lin_rmod(lin_monomial(F, 0), R)
+    t = x
+    for k in range(1, max_degree // F.degree + 1):
+        for _ in range(F.degree):
+            t = lin_rmod(lin_twist(t, 1), R)
+        if t == x:
+            return k
+    raise CapacityError(
+        "splitting field of 2-degree-%d polynomial exceeds degree %d"
+        % (R.h, max_degree))
 
 
 @dataclass(frozen=True)

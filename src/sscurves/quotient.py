@@ -14,11 +14,9 @@ combined right-hand side.
 
 from dataclasses import dataclass
 
-from . import gf2x
-from .field import (BinaryField, FieldEmbedding, extend_and_embed, pgcd,
-                    ptrim)
+from .field import BinaryField, FieldEmbedding, _xor_rows, extend_and_embed
 from .linops import (LinPoly, SparsePoly, as_genus, as_reduce, lin, lin_add,
-                     lin_eval, lin_kernel, lin_scale, lin_twist,
+                     lin_eval, lin_kernel, lin_rmod, lin_scale, lin_twist,
                      splitting_degree, times_x)
 from .limits import DEFAULT_MAX_DEGREE
 
@@ -39,15 +37,7 @@ class AlphaSpace:
     def members(self):
         """All 2^n - 1 nonzero elements, lexicographic in basis coordinates."""
         for mask in range(1, 1 << self.dim):
-            acc = 0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    acc ^= self.basis[i]
-                m >>= 1
-                i += 1
-            yield acc
+            yield _xor_rows(self.basis, mask)
 
     def contains(self, alpha):
         return lin_eval(self.equation, alpha) == 0
@@ -154,11 +144,12 @@ def is_irreducible(c):
 
     A vanishing combined polynomial R_alpha exhibits a trivial quotient;
     a nonzero one has an odd-degree reduced right-hand side, which never
-    lies in the Artin-Schreier image of the rational function field.  The
-    test runs as a gcd over the coefficient field: bad alphas are common
-    roots of the dual equation and of the column polynomials
-    P_e = sum_k c_{k,e} a^(2^(n-k)), so irreducibility means the only
-    common root is zero.
+    lies in the Artin-Schreier image of the rational function field.  Bad
+    alphas are the common roots of the dual equation and of the column
+    polynomials P_e = sum_k c_{k,e} a^(2^(n-k)), and the common roots of
+    linearized polynomials are the roots of their right gcd.  One Euclid
+    loop by right division folds the columns into the dual equation;
+    irreducibility means the gcd reaches 2-degree 0 (the root 0 alone).
     """
     c.validate()
     F = c.field
@@ -166,24 +157,15 @@ def is_irreducible(c):
     columns = {}
     for k, R in enumerate(c.R_list, start=1):
         for e in R.support():
-            columns.setdefault(e, {})[n - k] = R.coeff(e)
-    if F.degree == 1:
-        g = sum(1 << (1 << i) for i in dual_equation(c).support())
-        for cmap in columns.values():
-            p = sum(1 << (1 << i) for i in cmap)
-            g = gf2x.gcd(g, p)
-            if gf2x.degree(g) == 1:
-                return True
-        return gf2x.degree(g) == 1
-    g = dual_equation(c).ordinary_coeffs()
-    for cmap in columns.values():
-        p = [0] * ((1 << max(cmap)) + 1)
-        for i, coef in cmap.items():
-            p[1 << i] = coef
-        g = pgcd(F, g, p)
-        if len(g) - 1 == 1:
+            columns.setdefault(e, [0] * n)[n - k] = R.coeff(e)
+    g = dual_equation(c)
+    for col in columns.values():
+        p = lin(F, col)
+        while not p.is_zero():
+            g, p = p, lin_rmod(g, p)
+        if g.h == 0:
             return True
-    return len(ptrim(list(g))) - 1 == 1
+    return False
 
 
 def decomposition(c, max_degree=DEFAULT_MAX_DEGREE):

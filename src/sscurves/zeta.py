@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .builder import (CurveSpec, FibreProductSpec, fibre_combinations,
                       stratum_rows)
-from .field import extend_and_embed
+from .field import _xor_rows, extend_and_embed
 from .linops import (as_genus, as_reduce, definition_field, lin, lin_images,
                      lin_kernel)
 from .limits import DEFAULT_BUDGET, CapacityError
@@ -307,18 +307,6 @@ def _trace_rows(ext, s, length):
     return rows
 
 
-def _xor_rows(rows, z):
-    """The xor of rows[k] over the set bits k of z."""
-    acc = 0
-    k = 0
-    while z:
-        if z & 1:
-            acc ^= rows[k]
-        z >>= 1
-        k += 1
-    return acc
-
-
 def count_series(curve, genus, budget=DEFAULT_BUDGET, kmax=None):
     """CountSeries for k = 1..kmax (default genus + 2), Weil-checked."""
     if kmax is None:
@@ -575,10 +563,8 @@ def powersum_additivity_check(curve, kmax, budget=DEFAULT_BUDGET):
     k = 1..kmax:  count(C) - (Q+1)  =  sum_pieces (count(piece) - (Q+1)).
     """
     if isinstance(curve, CurveSpec):
-        from .quotient import solve_alpha_space
-        space = solve_alpha_space(curve, max_degree=budget.max_degree)
         pieces = decomposition(curve, max_degree=budget.max_degree)
-        M = space.ambient.degree
+        M = pieces[0].rhs.field.degree      # the alpha-space ambient
         scale = M // curve.field.degree
         for k in range(1, kmax + 1):
             Q = 1 << (M * k)

@@ -226,6 +226,23 @@ def test_field_degree_bound_applies_at_load(capsys, tmp_path):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_radical_of_a_wide_polynomial(tmp_path):
+    # e_poly(x^(2^12) + x) = x^(2^24) + x: its splitting degree came from
+    # Frobenius iterated modulo a degree-2^24 ordinary polynomial, which
+    # never finished; right division works on its 25 coefficients
+    r = tmp_path / "r.json"
+    r.write_text(json.dumps({"field": {"degree": 1, "modulus": "0x3"},
+                             "coeffs": ["0x1"] + ["0x0"] * 11 + ["0x1"]}))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sscurves.cli", "radical",
+                           str(r)], capture_output=True, text=True, env=env,
+                          timeout=10)
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "radical dimension 24 in degree-24 field\n"
+
+
 @pytest.mark.parametrize("g", [223, 239])
 def test_quotients_render_in_large_fields(g, tmp_path):
     # pieces over F_2^20 (g = 223) and F_2^24 (g = 239): coefficients are

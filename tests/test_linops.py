@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sscurves.field import embedding_into, make_field
+from sscurves.field import embedding_into, make_field, pmod, psqr, ptrim
+from sscurves.limits import CapacityError
 from sscurves.linops import (as_genus, as_reduce, lin, lin_add, lin_compose,
                              lin_eval, lin_images, lin_kernel, lin_monomial,
-                             lin_twist,
+                             lin_rmod, lin_twist,
                              definition_field, sparse, sparse_add,
                              sparse_twist, splitting_degree, times_x)
 
@@ -90,6 +91,74 @@ def test_splitting_degree():
     for k in range(1, 6):
         sub = gf2x.frob_power_mod(k, f) ^ gf2x.mod(2, f)
         assert gf2x.degree(gf2x.gcd(f, sub)) < 16
+
+
+def test_splitting_degree_cap():
+    G = lin(F2, [1, 1, 0, 1, 1])                           # degree 6
+    assert splitting_degree(G, max_degree=6) == 6
+    with pytest.raises(CapacityError, match="exceeds degree 5"):
+        splitting_degree(G, max_degree=5)
+    # over F_4 the cap counts F_2-degrees: k = 3 needs degree 6
+    E = lin(F4, [1, 1, 0, 1, 1])
+    assert splitting_degree(E, max_degree=6) == 3
+    with pytest.raises(CapacityError):
+        splitting_degree(E, max_degree=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 5))
+def test_lin_rmod_inverts_compose(data, d):
+    F = make_field(d)
+    elem = st.integers(0, F.order - 1)
+    S = lin(F, data.draw(st.lists(elem, max_size=5))
+            + [data.draw(st.integers(1, F.order - 1))])
+    Q = lin(F, data.draw(st.lists(elem, max_size=6)))
+    rem = lin(F, data.draw(st.lists(elem, max_size=S.h)))
+    assert lin_rmod(lin_add(lin_compose(Q, S), rem), S) == rem
+
+
+def test_lin_rmod_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        lin_rmod(lin(F4, [1, 1]), lin(F4, []))
+
+
+def ordinary_splitting_degree(R, max_degree):
+    """Oracle: Frobenius iterated modulo R as an ordinary polynomial of degree 2^h."""
+    F = R.field
+    f = [0] * ((1 << R.h) + 1)
+    for i, a in enumerate(R.coeffs):
+        f[1 << i] = a
+    x = pmod(F, [0, 1], f)
+    t = x
+    for k in range(1, max_degree // F.degree + 1):
+        for _ in range(F.degree):
+            t = pmod(F, psqr(F, t), f)
+        if ptrim(list(t)) == x:
+            return k
+    return None
+
+
+def test_splitting_degree_matches_ordinary_oracle():
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(150):
+        d = rng.randrange(1, 6)
+        F = make_field(d)
+        h = rng.randrange(0, 6 if d <= 2 else 5)
+        coeffs = [rng.randrange(1, F.order)]
+        coeffs += [rng.randrange(F.order) for _ in range(h - 1)]
+        if h:
+            coeffs.append(rng.randrange(1, F.order))
+        R = lin(F, coeffs)
+        max_degree = rng.choice([d, 4 * d, 12, 64])
+        expected = ordinary_splitting_degree(R, max_degree)
+        if expected is None:
+            with pytest.raises(CapacityError):
+                splitting_degree(R, max_degree=max_degree)
+        else:
+            assert splitting_degree(R, max_degree=max_degree) == expected
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
 
 
 def test_as_reduce():

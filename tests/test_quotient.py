@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from sscurves.builder import CurveSpec, build_prime_field, glue_single_block, \
     build_components
 from sscurves.decomp import decompose
-from sscurves.field import embedding_into, make_field
+from sscurves.field import embedding_into, make_field, pgcd
 from sscurves.linops import (as_reduce, lin, lin_add, lin_eval, lin_kernel,
                              lin_scale, lin_twist)
 from sscurves.quotient import (decomposition, dual_equation, is_irreducible,
@@ -134,6 +135,46 @@ def test_is_irreducible():
     assert is_irreducible(CurveSpec(F2, lin(F2, [1, 1]), (lin(F2, [0, 1]),)))
     # glued curves over extension fields
     assert is_irreducible(glue_single_block(build_components(decompose(30))))
+
+
+def ordinary_is_irreducible(c):
+    """Oracle: gcd of the dual equation and the column polynomials taken as
+    ordinary polynomials of degree 2^(2-degree)."""
+    F, n = c.field, c.n
+
+    def ordinary(coeffs):
+        out = [0] * ((1 << max(coeffs)) + 1)
+        for i, a in coeffs.items():
+            out[1 << i] = a
+        return out
+
+    g = ordinary(dict(enumerate(dual_equation(c).coeffs)))
+    for e in sorted({e for R in c.R_list for e in R.support()}):
+        column = {n - k: R.coeff(e) for k, R in enumerate(c.R_list, start=1)
+                  if R.coeff(e)}
+        g = pgcd(F, g, ordinary(column))
+    return len(g) == 2
+
+
+def test_is_irreducible_matches_ordinary_oracle():
+    rng = random.Random(51)
+    verdicts = Counter()
+    for _ in range(300):
+        F = make_field(rng.randrange(1, 4))
+        n = rng.randrange(1, 5)
+        S = lin(F, [rng.randrange(1, F.order)]
+                + [rng.randrange(F.order) for _ in range(n - 1)] + [1])
+        # sparse R_k over few columns, so that common roots occur
+        R_list = [lin(F, [rng.choice((0, 0, 1, rng.randrange(F.order)))
+                          for _ in range(rng.randrange(1, 4))])
+                  for _ in range(n)]
+        if all(R.is_zero() for R in R_list):
+            R_list[0] = lin(F, [0, 1])
+        c = CurveSpec(F, S, tuple(R_list))
+        expected = ordinary_is_irreducible(c)
+        assert is_irreducible(c) == expected
+        verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False], verdicts     # 290 and 10
 
 
 def test_decomposition_sums():

@@ -16,27 +16,38 @@ over F_{2^m} (``glue_single_block``).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .field import BinaryField, make_field
-from .linops import (LinPoly, SparsePoly, as_genus, lin, lin_add,
+from .field import BinaryField, _echelonize, make_field
+from .linops import (LinPoly, SparsePoly, as_reduce, lin, lin_add,
                      lin_monomial, lin_twist, sparse, sparse_add,
                      sparse_scale, sparse_twist, times_x)
-
-# Exhaustive certificate verification is feasible up to this binary weight.
-EXHAUSTIVE_WEIGHT_LIMIT = 20
 
 
 @dataclass(frozen=True)
 class FibreProductSpec:
-    """Fibre product of the covers y_j^2 + y_j = f_j over one base field."""
+    """Fibre product of the covers y_j^2 + y_j = f_j over one base field.
+
+    Its rank and strata, computed once, are those of the F_2-span of the f_j
+    modulo constants (``span_strata``).  The rank is below the weight exactly
+    when some combination reduces to a constant: the product is then not a
+    geometrically irreducible curve.
+    """
 
     field: BinaryField
     components: tuple      # SparsePoly right-hand sides f_1..f_k
-    strata: tuple          # ((u_i, r_i + 1), ...) bookkeeping per block
 
     @property
     def weight(self):
         return len(self.components)
+
+    @cached_property
+    def rank(self):
+        return len(_span_leads(self.components))
+
+    @cached_property
+    def strata(self):
+        return span_strata(self.components)
 
 
 @dataclass(frozen=True)
@@ -99,7 +110,7 @@ def stratum_certificate(d):
 
     Block i gives the stratum (u_i, r_i + 1).
     """
-    rows = stratum_rows((u, r + 1) for (_, r), u in zip(d.blocks, d.u))
+    rows = stratum_rows(d.strata)
     total = sum(c * g for c, g in rows)
     assert total == d.g
     return GenusCertificate(rows, total)
@@ -114,76 +125,73 @@ def build_components(d):
     F = make_field(d.m)
     gamma = F.generator
     components = []
-    strata = []
     for (s, r), u in zip(d.blocks, d.u):
         e = (1 << u) + 1
         c = 1
         for _ in range(r + 1):
             components.append(sparse(F, {e: c}))
             c = F.mul(c, gamma)
-        strata.append((u, r + 1))
-    return FibreProductSpec(F, tuple(components), tuple(strata))
+    return FibreProductSpec(F, tuple(components))
+
+
+def _span_leads(components):
+    # as_reduce is F_2-linear, so the reduced components span every reduced
+    # combination.  Packed with each exponent's bits above every smaller
+    # one's, a combination's reduced degree is the largest leading exponent
+    # among the echelon basis vectors it uses.
+    reduced = [[(e, c) for e, c in as_reduce(f).terms if e]
+               for f in components]
+    exps = sorted({e for terms in reduced for e, _ in terms})
+    n = components[0].field.degree if components else 1
+    slot = {e: i * n for i, e in enumerate(exps)}
+    return [exps[(v.bit_length() - 1) // n]
+            for v in _echelonize([sum(c << slot[e] for e, c in terms)
+                                  for terms in reduced])]
+
+
+def span_strata(components):
+    """Strata ((u, dim), ...) of the F_2-span of fibre-product components.
+
+    The dim basis vectors of the span modulo constants that lead with
+    x^(2^u + 1) are the stratum (u, dim), in ascending u.  A leading
+    exponent not of that form raises ValueError; the dims sum to less than
+    the weight when some combination reduces to a constant.
+    """
+    dims = {}
+    for d in _span_leads(components):
+        if d < 3 or (d - 1) & (d - 2):
+            raise ValueError("component degree %d is not of the form 2^u + 1"
+                             % d)
+        u = (d - 1).bit_length() - 1
+        dims[u] = dims.get(u, 0) + 1
+    return tuple(sorted(dims.items()))
 
 
 def fibre_combinations(spec):
-    """All 2^w - 1 nonzero F_2-combinations of the components, mask order."""
-    w = spec.weight
-    for mask in range(1, 1 << w):
-        acc = sparse(spec.field, {})
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                acc = sparse_add(acc, spec.components[i])
-            m >>= 1
-            i += 1
-        yield mask, acc
+    """All 2^w - 1 nonzero F_2-combinations of the components, mask order.
+
+    Combination mask is combination mask ^ low plus one component, low the
+    lowest set bit of mask.
+    """
+    combos = [sparse(spec.field, {})]
+    for mask in range(1, 1 << spec.weight):
+        low = mask & -mask
+        combos.append(sparse_add(combos[mask ^ low],
+                                 spec.components[low.bit_length() - 1]))
+        yield mask, combos[-1]
 
 
 def certificate(spec):
-    """Genus certificate of a fibre product.
+    """Genus certificate of a fibre product, from the strata of its span.
 
-    The strata rows come from block arithmetic; for weight w <= 20 every
-    nonzero combination is additionally checked with the Artin-Schreier
-    genus formula and any mismatch is an internal error.
+    Raises AssertionError when the span has rank below the weight: some
+    combination then reduces to a constant, and the product is not a
+    geometrically irreducible curve.
     """
     rows = stratum_rows(spec.strata)
-    total = sum(c * g for c, g in rows)
-    if spec.weight <= EXHAUSTIVE_WEIGHT_LIMIT:
-        expected = {}
-        for count, g in rows:
-            expected[g] = expected.get(g, 0) + count
-        seen = _exhaustive_genus_counts(spec)
-        if seen != expected:
-            raise AssertionError(
-                "stratum bookkeeping disagrees with exhaustive genus count: "
-                "%r vs %r" % (expected, seen))
-    return GenusCertificate(rows, total)
-
-
-def _exhaustive_genus_counts(spec):
-    # Gray-code walk: one component toggled per step keeps this linear in
-    # the number of combinations.
-    comps = [tuple(f.terms) for f in spec.components]
-    all_odd = all(e & 1 for terms in comps for e, _ in terms)
-    acc = {}
-    seen = {}
-    for step in range(1, 1 << spec.weight):
-        for e, c in comps[(step & -step).bit_length() - 1]:
-            v = acc.get(e, 0) ^ c
-            if v:
-                acc[e] = v
-            else:
-                del acc[e]
-        if not acc:
-            raise AssertionError("components are F_2-dependent")
-        if all_odd:
-            d = max(acc)
-            g = (d - 1) // 2 if d else 0
-        else:
-            g = as_genus(sparse(spec.field, acc))
-        seen[g] = seen.get(g, 0) + 1
-    return seen
+    if spec.rank < spec.weight:
+        raise AssertionError("components are F_2-dependent modulo constants")
+    return GenusCertificate(rows, sum(c * g for c, g in rows))
 
 
 def glue_single_block(spec):
@@ -237,8 +245,7 @@ def build_prime_field(d):
         for j in G[i - 1].support():
             R_coeffs[w - j - 1][u] ^= 1
     R_list = tuple(lin(F, c) for c in R_coeffs)
-    strata = tuple((u, r + 1) for (_, r), u in zip(d.blocks, d.u))
-    return CurveSpec(F, S, R_list, strata).validate()
+    return CurveSpec(F, S, R_list, d.strata).validate()
 
 
 def to_standard_form(T, n):

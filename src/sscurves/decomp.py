@@ -26,6 +26,11 @@ class GenusDecomposition:
     def t(self):
         return len(self.blocks)
 
+    @property
+    def strata(self):
+        """((u_i, r_i + 1), ...): the fibre-product stratum of each block."""
+        return tuple((u, r + 1) for (_, r), u in zip(self.blocks, self.u))
+
     def recompose(self):
         return sum((1 << s) * ((1 << (r + 1)) - 1) for s, r in self.blocks)
 

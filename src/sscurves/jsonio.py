@@ -107,35 +107,21 @@ def curve_to_json(curve, construction=None):
 def curve_from_json(doc, max_degree=DEFAULT_MAX_DEGREE):
     _need(doc, "curve file", ("kind", "field"))
     F = field_from_json(doc["field"], max_degree)
-    meta = doc.get("metadata") or {}
-    strata = None
-    construction = meta.get("construction")
-    if construction and "g" in construction:
-        d = decompose(construction["g"])
-        strata = tuple((u, r + 1) for (_, r), u in zip(d.blocks, d.u))
     if doc["kind"] == "single":
+        construction = (doc.get("metadata") or {}).get("construction") or {}
+        strata = (decompose(construction["g"]).strata
+                  if "g" in construction else None)
         _need(doc, "curve file", ("S", "R"))
         S = linpoly_from_json(doc["S"], F)
         R_list = tuple(linpoly_from_json(R, F) for R in doc["R"])
         return CurveSpec(F, S, R_list, strata).validate()
     if doc["kind"] == "fibre_product":
         _need(doc, "curve file", ("components",))
-        components = tuple(sparse_from_json(c, F) for c in doc["components"])
-        if strata is None:
-            strata = _strata_from_components(components)
-        return FibreProductSpec(F, components, strata)
+        spec = FibreProductSpec(F, tuple(sparse_from_json(c, F)
+                                         for c in doc["components"]))
+        spec.strata         # a malformed span raises ValueError at load
+        return spec
     raise ValueError("unknown curve kind %r" % (doc["kind"],))
-
-
-def _strata_from_components(components):
-    groups = {}
-    for f in components:
-        d = f.degree
-        if d < 3 or (d - 1) & (d - 2):
-            raise ValueError("component degree %d is not of the form 2^u + 1" % d)
-        u = (d - 1).bit_length() - 1
-        groups[u] = groups.get(u, 0) + 1
-    return tuple(sorted(groups.items()))
 
 
 def load_curve(path, max_degree=DEFAULT_MAX_DEGREE):

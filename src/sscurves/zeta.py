@@ -134,14 +134,21 @@ def _count_single(c, k, budget):
 
 
 def _count_fibre(spec, k, budget):
+    """Points of a fibre product over the degree-k extension of its field.
+
+    Every combination must reduce to an odd degree: the span's rank equals
+    the weight.  The leading degrees need not be of the form 2^u + 1.
+    """
     budget.check_points(spec.field.degree * k)
-    for _, f in fibre_combinations(spec):
-        r = as_reduce(f)
-        if r.is_zero() or r.degree % 2 == 0:
-            raise ValueError("fibre product has a component combination with "
-                             "even reduced degree")
+    _check_rank(spec)
     ext, emb = extend_and_embed(spec.field, k)
     return _count(ext, [f.map_field(emb).terms for f in spec.components])
+
+
+def _check_rank(spec):
+    if spec.rank < spec.weight:
+        raise ValueError("fibre product has a component combination with "
+                         "even reduced degree")
 
 
 def _count(ext, term_lists):
@@ -531,6 +538,8 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET):
 def _genus_and_degree(curve, budget):
     if isinstance(curve, QuotientCurve):
         return curve.genus, curve.rhs.field.degree
+    if isinstance(curve, FibreProductSpec):
+        _check_rank(curve)
     if isinstance(curve, FibreProductSpec) or (
             isinstance(curve, CurveSpec) and curve.strata):
         total = sum(c * gp for c, gp in stratum_rows(curve.strata))
@@ -563,23 +572,19 @@ def powersum_additivity_check(curve, kmax, budget=DEFAULT_BUDGET):
     k = 1..kmax:  count(C) - (Q+1)  =  sum_pieces (count(piece) - (Q+1)).
     """
     if isinstance(curve, CurveSpec):
-        pieces = decomposition(curve, max_degree=budget.max_degree)
-        M = pieces[0].rhs.field.degree      # the alpha-space ambient
-        scale = M // curve.field.degree
-        for k in range(1, kmax + 1):
-            Q = 1 << (M * k)
-            lhs = count_points(curve, scale * k, budget) - (Q + 1)
-            rhs = sum(count_points(p, k, budget) - (Q + 1) for p in pieces)
-            if lhs != rhs:
-                return False
-        return True
-    if isinstance(curve, FibreProductSpec):
-        for k in range(1, kmax + 1):
-            Q = curve.field.order ** k
-            lhs = count_points(curve, k, budget) - (Q + 1)
-            rhs = sum(count_artin_schreier(f, k, budget) - (Q + 1)
-                      for _, f in fibre_combinations(curve))
-            if lhs != rhs:
-                return False
-        return True
-    raise TypeError("additivity check needs a decomposable curve")
+        pieces = [p.rhs for p in
+                  decomposition(curve, max_degree=budget.max_degree)]
+        M = pieces[0].field.degree      # the alpha-space ambient
+    elif isinstance(curve, FibreProductSpec):
+        pieces = [f for _, f in fibre_combinations(curve)]
+        M = curve.field.degree
+    else:
+        raise TypeError("additivity check needs a decomposable curve")
+    scale = M // curve.field.degree
+    for k in range(1, kmax + 1):
+        Q = 1 << (M * k)
+        lhs = count_points(curve, scale * k, budget) - (Q + 1)
+        if lhs != sum(count_artin_schreier(f, k, budget) - (Q + 1)
+                      for f in pieces):
+            return False
+    return True

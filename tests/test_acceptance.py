@@ -79,14 +79,16 @@ def test_c03_certificates_1_to_4096():
     for g in range(1, 4097):
         d = decompose(g)
         assert d.recompose() == g
-        assert certificate(build_components(d)).total == g
+        cert = certificate(build_components(d))
+        assert cert.total == g
+        assert cert.strata == stratum_certificate(d).strata
         c = build_prime_field(d)
         assert stratum_certificate(d).total == g
         assert tuple(to_standard_form(c.derived_T(), c.n)) == c.R_list
     elapsed = time.time() - t0
     assert elapsed < 10.0
-    print("criterion 3 PASS: certificates of both constructions total g for "
-          "g = 1..4096 (%.1fs)" % elapsed)
+    print("criterion 3 PASS: certificates of both constructions total g, "
+          "with equal strata, for g = 1..4096 (%.1fs)" % elapsed)
 
 
 def test_c04_numeric_supersingularity_small_genus():

@@ -1,12 +1,13 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from sscurves.builder import (build_components, build_prime_field,
-                              certificate, fibre_combinations,
-                              glue_single_block, stratum_certificate,
-                              to_standard_form)
+from sscurves.builder import (FibreProductSpec, build_components,
+                              build_prime_field, certificate,
+                              fibre_combinations, glue_single_block,
+                              stratum_certificate, to_standard_form)
 from sscurves.decomp import decompose
 from sscurves.field import make_field
-from sscurves.linops import sparse, times_x
+from sscurves.linops import as_genus, as_reduce, sparse, sparse_add, times_x
 from sscurves import jsonio
 
 F2 = make_field(1)
@@ -41,13 +42,89 @@ def test_certificate_examples():
 
 
 def test_certificate_detects_bad_spec():
-    # dependent components: stratum claim cannot survive the exhaustive check
+    # dependent components: some combination reduces to a constant
     bad = build_components(decompose(5))
-    from sscurves.builder import FibreProductSpec
-    broken = FibreProductSpec(bad.field, (bad.components[0], bad.components[0]),
-                              bad.strata)
+    broken = FibreProductSpec(bad.field, (bad.components[0], bad.components[0]))
     with pytest.raises(AssertionError):
         certificate(broken)
+
+
+def exhaustive_genus_counts(spec):
+    """Oracle: (error, {genus: members}) from every nonzero combination.
+
+    The error is the one ``certificate`` must raise: ValueError when some
+    reduced degree d >= 1 is not of the form 2^u + 1, else AssertionError
+    when some combination reduces to an even degree (a constant or zero).
+    """
+    seen = {}
+    error = None
+    for _, f in fibre_combinations(spec):
+        r = as_reduce(f)
+        d = r.degree
+        if r.is_zero() or d % 2 == 0:
+            error = error or AssertionError
+        elif d < 3 or (d - 1) & (d - 2):
+            error = ValueError
+        else:
+            g = as_genus(f)
+            seen[g] = seen.get(g, 0) + 1
+    return error, seen
+
+
+def _spec(n, *components):
+    F = make_field(n)
+    return FibreProductSpec(F, tuple(sparse(F, c) for c in components))
+
+
+@st.composite
+def fibre_products(draw):
+    """Up to 5 components over F_2..F_16: a top term, mostly one reducing to
+    x^(2^u + 1), and up to two terms of odd or even exponent or constants.
+    Few coefficients are drawn, so that spans collide."""
+    F = make_field(draw(st.integers(1, 4)))
+    tops = st.sampled_from((3, 5, 6, 9, 10, 12, 17, 18, 20, 33) * 3
+                           + (0, 1, 7))
+    lows = st.sampled_from((0, 1, 2, 3, 4, 5, 6, 7, 8, 10))
+    coeffs = st.integers(1, min(F.order - 1, 5))
+    comps = []
+    for _ in range(draw(st.integers(1, 5))):
+        terms = {draw(tops): draw(coeffs)}
+        for _ in range(draw(st.integers(0, 2))):
+            e = draw(lows)
+            terms[e] = terms.get(e, 0) ^ draw(coeffs)
+        comps.append(sparse(F, terms))
+    return FibreProductSpec(F, tuple(comps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fibre_products())
+@example(_spec(1, {5: 1}, {5: 1, 3: 1}))            # genus 5, not 6
+@example(_spec(1, {5: 1}, {5: 1}))                  # dependent
+@example(_spec(1, {9: 1, 7: 1}, {9: 1}))            # the span leads with x^7
+@example(_spec(2, {10: 1, 3: 2}, {5: 3, 0: 1}))     # x^10 reduces to x^5
+def test_span_strata_match_exhaustive_genus_counts(spec):
+    error, seen = exhaustive_genus_counts(spec)
+    if error:
+        with pytest.raises(error):
+            certificate(spec)
+        return
+    got = {}
+    for count, g in certificate(spec).strata:
+        got[g] = got.get(g, 0) + count
+    assert got == seen
+
+
+def test_fibre_combinations_are_the_masked_sums():
+    spec = _spec(2, {5: 1, 0: 1}, {3: 2}, {9: 3, 5: 1}, {6: 1})
+    masks = []
+    for mask, f in fibre_combinations(spec):
+        masks.append(mask)
+        want = sparse(spec.field, {})
+        for i, comp in enumerate(spec.components):
+            if mask >> i & 1:
+                want = sparse_add(want, comp)
+        assert f == want
+    assert masks == list(range(1, 16))
 
 
 def test_glue_genus30():

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from sscurves import jsonio
 from sscurves.cli import main
 from sscurves.limits import DEFAULT_LOG2_POINTS
 
@@ -260,3 +261,80 @@ def test_quotients_render_in_large_fields(g, tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "127 quotients, genus total %d" % g
     assert len(lines) == 128 and any("a^" in line for line in lines)
+
+
+def fibre_file(tmp_path, name, components, metadata=None):
+    """A hand-written fibre product over F_2; components are exponent lists."""
+    doc = {"format": "curve", "kind": "fibre_product",
+           "field": {"degree": 1, "modulus": "0x3"},
+           "components": [{"terms": [{"exp": e, "coeff": "0x1"} for e in exps]}
+                          for exps in components]}
+    if metadata is not None:
+        doc["metadata"] = metadata
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_fibre_genus_comes_from_the_span(capsys, tmp_path):
+    # x^5 and x^5 + x^3: the combination x^3 has genus 1, so the genus is
+    # 2 + 2 + 1 = 5, not the 6 the component degrees suggest
+    path = fibre_file(tmp_path, "g5.json", [[5], [5, 3]])
+    rc, out = run(capsys, "verify", path, "--json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["genus"] == 5 and doc["supersingular"] is True
+    assert doc["failures"] == []
+    rc, out = run(capsys, "lpoly", path)
+    assert rc == 0
+    assert out == "genus 5\nL = [1, 2, 4, 8, 12, 16, 24, 32, 32, 32, 32]\n"
+
+
+def test_fibre_genus_ignores_metadata(capsys, tmp_path):
+    # a genus-30 product whose metadata claims genus 29 is verified as 30
+    good = tmp_path / "g30.json"
+    assert main(["construct", "--mode", "f2m", "30", "--out",
+                 str(good)]) == 0
+    doc = json.loads(good.read_text())
+    doc["metadata"]["construction"]["g"] = 29
+    wrong = tmp_path / "g29.json"
+    wrong.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc, out = run(capsys, "verify", str(wrong), "--json")
+    assert rc == 0
+    assert run(capsys, "verify", str(good), "--json") == (rc, out)
+    doc = json.loads(out)
+    assert doc["genus"] == 30 and doc["checks"]["piece_genus_total"] is True
+
+
+def test_invalid_fibre_files(capsys, tmp_path):
+    # dependent components: verify fails, count and lpoly refuse
+    dup = fibre_file(tmp_path, "dup.json", [[5], [5]])
+    message = ("fibre product has a component combination with even "
+               "reduced degree")
+    rc, out = run(capsys, "verify", dup)
+    assert rc == 1 and out == "FAIL: %s\n" % message
+    for argv in (["count", dup], ["lpoly", dup]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+    # components that reduce to a constant on their own: a constant, the
+    # zero polynomial and x^4 + x^2 (= 0 modulo h^2 + h) fail the same way,
+    # before verify takes the genus-0 span for a rational curve
+    for name, comps in (("const.json", [[0]]), ("zero.json", [[]]),
+                        ("x4x2.json", [[4, 2]])):
+        path = fibre_file(tmp_path, name, comps)
+        for argv in (["verify", path], ["verify", path, "--skip-additivity"]):
+            rc, out = run(capsys, *argv)
+            assert rc == 1 and out == "FAIL: %s\n" % message, argv
+        for argv in (["count", path], ["lpoly", path]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == "error: %s\n" % message
+    # an x^7 component, and a span leading with x^7 (x^9 + x^7 plus x^9),
+    # are refused when the file is loaded
+    for name, comps in (("x7.json", [[7]]), ("lead7.json", [[9, 7], [9]])):
+        path = fibre_file(tmp_path, name, comps)
+        with pytest.raises(ValueError, match="degree 7 is not of the form"):
+            jsonio.load_curve(path)
+        for cmd in ("verify", "count", "lpoly"):
+            assert main([cmd, path]) == 2, (name, cmd)
+            assert "degree 7 is not of the form" in capsys.readouterr().err

@@ -157,8 +157,7 @@ def test_weight_three_fibre_file_through_cli(tmp_path, capsys):
         assert main(["count", str(path), "--json", "--ext", str(k)]) == 0
         got = json.loads(capsys.readouterr().out)
         ext, emb = extend_and_embed(F4, k)
-        spec = FibreProductSpec(ext, tuple(f.map_field(emb) for f in comps),
-                                ())
+        spec = FibreProductSpec(ext, tuple(f.map_field(emb) for f in comps))
         assert got == {"ext": k, "count": brute_count_fibre(ext, spec)}, k
 
 
@@ -176,7 +175,7 @@ def test_enumerate_without_tables(monkeypatch, n):
         comps = [sparse(F, {rng.choice(exps): rng.randrange(F.order)
                             for _ in range(rng.randrange(1, 5))})
                  for _ in range(rng.randrange(1, 4))]
-        spec = FibreProductSpec(F, tuple(comps), ())
+        spec = FibreProductSpec(F, tuple(comps))
         want = (brute_count_artin_schreier(F, comps[0]),
                 brute_count_fibre(F, spec))
         for block in (zeta._BLOCK, 3):
@@ -229,7 +228,7 @@ def test_quadratic_route_matches_enumeration(data, d, k, u):
 def test_quadratic_route_matches_enumeration_fibre(data, d, k, tops):
     F = make_field(d)
     spec = FibreProductSpec(
-        F, tuple(data.draw(quadratic_rhs(F, u)) for u in tops), ())
+        F, tuple(data.draw(quadratic_rhs(F, u)) for u in tops))
     ext, emb = extend_and_embed(F, k)
     comps = [f.map_field(emb).terms for f in spec.components]
     assert count_points(spec, k) == 1 + zeta._enumerate(ext, comps)
@@ -413,6 +412,30 @@ def test_verify_fibre_product_g30():
     assert rep.supersingular is True
     assert len(rep.pieces) == 15
     assert all(p["mode"] == "numeric" and p["genus"] == 2 for p in rep.pieces)
+
+
+def test_verify_fibre_product_built_by_hand():
+    # the strata come from the components, so a product built without any
+    # bookkeeping is not mistaken for a rational curve
+    rep = verify_supersingular(FibreProductSpec(F2, (sparse(F2, {3: 1}),)),
+                               B16)
+    assert rep.genus == 1 and rep.supersingular is True
+    assert rep.lpoly.coeffs == (1, 0, 2) and "rational" not in rep.checks
+
+
+def test_fibre_count_needs_odd_combinations_only():
+    # counting asks no more than odd reduced degrees: an x^7 component and a
+    # span with the genus-0 member x are counted, dependent components not
+    for comps in (({7: 1},), ({5: 1, 1: 1}, {5: 1}), ({7: 1, 3: 1}, {5: 1})):
+        spec = FibreProductSpec(F2, tuple(sparse(F2, c) for c in comps))
+        assert spec.rank == spec.weight
+        assert count_points(spec, 1) == brute_count_fibre(F2, spec)
+    for comps in (({5: 1}, {5: 1}), ({0: 1},), ({4: 1, 2: 1},)):
+        spec = FibreProductSpec(F2, tuple(sparse(F2, c) for c in comps))
+        with pytest.raises(ValueError, match="even reduced degree"):
+            count_points(spec, 1)
+        with pytest.raises(ValueError, match="even reduced degree"):
+            verify_supersingular(spec, B16)
 
 
 def test_powersum_additivity():

@@ -20,8 +20,9 @@ from functools import cached_property
 
 from .field import BinaryField, _echelonize, make_field
 from .linops import (LinPoly, SparsePoly, as_reduce, lin, lin_add,
-                     lin_monomial, lin_twist, sparse, sparse_add,
+                     lin_monomial, lin_rmod, lin_twist, sparse, sparse_add,
                      sparse_scale, sparse_twist, times_x)
+from .quotient import dual_equation
 
 
 @dataclass(frozen=True)
@@ -52,16 +53,22 @@ class FibreProductSpec:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Single-equation curve S(y) = x R_1 + (x R_2)^2 + ... + (x R_n)^(2^(n-1))."""
+    """Single-equation curve S(y) = x R_1 + (x R_2)^2 + ... + (x R_n)^(2^(n-1)).
+
+    Its strata are those of its quotients, computed once (``equation_strata``).
+    """
 
     field: BinaryField
     S: LinPoly             # monic, A_0 != 0, 2-degree n
     R_list: tuple          # n entries, zeros allowed, not all zero
-    strata: tuple = None   # ((u_i, r_i + 1), ...) when built from a decomposition
 
     @property
     def n(self):
         return self.S.h
+
+    @cached_property
+    def strata(self):
+        return equation_strata(self)
 
     def derived_T(self):
         """The right-hand side sum (x R_k)^(2^(k-1)) as one sparse polynomial."""
@@ -95,12 +102,12 @@ def stratum_rows(strata):
     """(member count, member genus) per stratum of ((u_i, dim_i), ...).
 
     Stratum i has 2^(dim_0 + ... + dim_(i-1)) * (2^dim_i - 1) members, each
-    of genus 2^(u_i - 1).
+    of genus 2^(u_i - 1), or 0 when u_i = 0.
     """
     rows = []
     prefix = 0
     for u, dim in strata:
-        rows.append(((1 << prefix) * ((1 << dim) - 1), 1 << (u - 1)))
+        rows.append(((1 << prefix) * ((1 << dim) - 1), (1 << u) >> 1))
         prefix += dim
     return tuple(rows)
 
@@ -153,18 +160,43 @@ def span_strata(components):
     """Strata ((u, dim), ...) of the F_2-span of fibre-product components.
 
     The dim basis vectors of the span modulo constants that lead with
-    x^(2^u + 1) are the stratum (u, dim), in ascending u.  A leading
-    exponent not of that form raises ValueError; the dims sum to less than
-    the weight when some combination reduces to a constant.
+    x^(2^u + 1), or with x for u = 0 (x^2 reduces to x), are the stratum
+    (u, dim), in ascending u.  A leading exponent of another form raises
+    ValueError; the dims sum to less than the weight when some combination
+    reduces to a constant.
     """
     dims = {}
     for d in _span_leads(components):
-        if d < 3 or (d - 1) & (d - 2):
+        if (d - 1) & (d - 2):
             raise ValueError("component degree %d is not of the form 2^u + 1"
                              % d)
-        u = (d - 1).bit_length() - 1
+        u = (d >> 1).bit_length()
         dims[u] = dims.get(u, 0) + 1
     return tuple(sorted(dims.items()))
+
+
+def equation_strata(c):
+    """Strata ((u, dim), ...) of the quotients of a single equation c.
+
+    The quotient of alpha has genus 2^(h - 1) (0 for h = 0), h the 2-degree
+    of R_alpha = sum_k alpha^(2^(n-k)) R_k.  Its coefficient at x^(2^e) is
+    the column polynomial P_e(alpha) = sum_k c_(k,e) alpha^(2^(n-k)), so the
+    alphas with h <= u are the roots of the right gcd of the dual equation
+    and the P_e, e > u.  One Euclid chain by right division takes the
+    columns from the highest e down; the gcd's 2-degree drops by dim at the
+    stratum (u, dim).  The dims sum to n exactly when c is irreducible.
+    """
+    n = c.n
+    g = dual_equation(c)
+    strata = []
+    for e in reversed(range(max(len(R.coeffs) for R in c.R_list))):
+        h = g.h
+        p = lin(c.field, [c.R_list[n - 1 - i].coeff(e) for i in range(n)])
+        while not p.is_zero():
+            g, p = p, lin_rmod(g, p)
+        if g.h < h:
+            strata.append((e, h - g.h))
+    return tuple(reversed(strata))
 
 
 def fibre_combinations(spec):
@@ -221,7 +253,7 @@ def glue_single_block(spec):
         c = F.mul(c, gamma)
     S = lin(F, [1] + [0] * (m - 1) + [1])
     R_list = to_standard_form(T, m)
-    curve = CurveSpec(F, S, tuple(R_list), spec.strata).validate()
+    curve = CurveSpec(F, S, tuple(R_list)).validate()
     assert curve.derived_T().terms == T.terms
     return curve
 
@@ -245,7 +277,7 @@ def build_prime_field(d):
         for j in G[i - 1].support():
             R_coeffs[w - j - 1][u] ^= 1
     R_list = tuple(lin(F, c) for c in R_coeffs)
-    return CurveSpec(F, S, R_list, d.strata).validate()
+    return CurveSpec(F, S, R_list).validate()
 
 
 def to_standard_form(T, n):

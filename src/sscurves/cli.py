@@ -129,13 +129,12 @@ def cmd_lpoly(args):
     budget = _budget(args)
     curve = jsonio.load_curve(args.curvefile, budget.max_degree)
     report = verify_supersingular(curve, budget)
-    if report.lpoly is None:
+    if report.genus and report.lpoly is None:
         raise BudgetError("curve is too large to count directly; "
                           "use verify for the piecewise ladder")
-    doc = {"genus": report.genus,
-           "lpoly": [str(c) for c in report.lpoly.coeffs]}
-    _emit(args, doc, ["genus %d" % report.genus,
-                      "L = %s" % list(report.lpoly.coeffs)])
+    coeffs = list(report.lpoly.coeffs) if report.genus else [1]  # rational
+    doc = {"genus": report.genus, "lpoly": [str(c) for c in coeffs]}
+    _emit(args, doc, ["genus %d" % report.genus, "L = %s" % coeffs])
     return 0
 
 

@@ -108,13 +108,10 @@ def curve_from_json(doc, max_degree=DEFAULT_MAX_DEGREE):
     _need(doc, "curve file", ("kind", "field"))
     F = field_from_json(doc["field"], max_degree)
     if doc["kind"] == "single":
-        construction = (doc.get("metadata") or {}).get("construction") or {}
-        strata = (decompose(construction["g"]).strata
-                  if "g" in construction else None)
         _need(doc, "curve file", ("S", "R"))
         S = linpoly_from_json(doc["S"], F)
         R_list = tuple(linpoly_from_json(R, F) for R in doc["R"])
-        return CurveSpec(F, S, R_list, strata).validate()
+        return CurveSpec(F, S, R_list).validate()
     if doc["kind"] == "fibre_product":
         _need(doc, "curve file", ("components",))
         spec = FibreProductSpec(F, tuple(sparse_from_json(c, F)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .field import BinaryField, FieldEmbedding, _xor_rows, extend_and_embed
 from .linops import (LinPoly, SparsePoly, as_genus, as_reduce, lin, lin_add,
-                     lin_eval, lin_kernel, lin_rmod, lin_scale, lin_twist,
+                     lin_eval, lin_kernel, lin_scale, lin_twist,
                      splitting_degree, times_x)
 from .limits import DEFAULT_MAX_DEGREE
 
@@ -142,30 +142,11 @@ def quotient_curve(c, alpha, space=None, max_degree=DEFAULT_MAX_DEGREE):
 def is_irreducible(c):
     """Whether no nonzero alpha in the alpha space kills all the R_k.
 
-    A vanishing combined polynomial R_alpha exhibits a trivial quotient;
-    a nonzero one has an odd-degree reduced right-hand side, which never
-    lies in the Artin-Schreier image of the rational function field.  Bad
-    alphas are the common roots of the dual equation and of the column
-    polynomials P_e = sum_k c_{k,e} a^(2^(n-k)), and the common roots of
-    linearized polynomials are the roots of their right gcd.  One Euclid
-    loop by right division folds the columns into the dual equation;
-    irreducibility means the gcd reaches 2-degree 0 (the root 0 alone).
+    A vanishing R_alpha exhibits a trivial quotient; otherwise the strata
+    of c (``builder.equation_strata``) count all n dimensions of alphas.
     """
     c.validate()
-    F = c.field
-    n = c.n
-    columns = {}
-    for k, R in enumerate(c.R_list, start=1):
-        for e in R.support():
-            columns.setdefault(e, [0] * n)[n - k] = R.coeff(e)
-    g = dual_equation(c)
-    for col in columns.values():
-        p = lin(F, col)
-        while not p.is_zero():
-            g, p = p, lin_rmod(g, p)
-        if g.h == 0:
-            return True
-    return False
+    return sum(dim for _, dim in c.strata) == c.n
 
 
 def decomposition(c, max_degree=DEFAULT_MAX_DEGREE):

@@ -29,6 +29,7 @@ When a curve is too large to count, its jacobian is split into quotient
 pieces and each piece is counted over its own field of definition; pieces
 beyond the budget whose equation has the hyperelliptic shape
 w^2 + w = x R(x) are certified structurally instead of being recounted.
+Past the splitting field's capacity it certifies from the curve's strata.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -122,8 +123,7 @@ def _count_single(c, k, budget):
     # of the trace adjoint S*(alpha) = sum_i (A_i alpha)^(2^-i), else 0: the
     # fibre product of the alpha T over a kernel basis.  S*(alpha)^(2^n) is
     # linearized over the base field with coefficients A_(n-i)^(2^i).
-    if not is_irreducible(c):
-        raise ValueError("curve is reducible")
+    _check_irreducible(c)
     budget.check_points(c.field.degree * k)
     ext, emb = extend_and_embed(c.field, k)
     F, n = c.field, c.n
@@ -140,13 +140,15 @@ def _count_fibre(spec, k, budget):
     the weight.  The leading degrees need not be of the form 2^u + 1.
     """
     budget.check_points(spec.field.degree * k)
-    _check_rank(spec)
+    _check_irreducible(spec)
     ext, emb = extend_and_embed(spec.field, k)
     return _count(ext, [f.map_field(emb).terms for f in spec.components])
 
 
-def _check_rank(spec):
-    if spec.rank < spec.weight:
+def _check_irreducible(curve):
+    if isinstance(curve, CurveSpec) and not is_irreducible(curve):
+        raise ValueError("curve is reducible")
+    if isinstance(curve, FibreProductSpec) and curve.rank < curve.weight:
         raise ValueError("fibre product has a component combination with "
                          "even reduced degree")
 
@@ -424,15 +426,11 @@ class VerificationReport:
 
 
 def _hyperelliptic_shape(rhs):
-    # every term of the reduced rhs is x^(2^e + 1), top coefficient nonzero:
-    # the cover is then one of the supersingular hyperelliptic family
-    r = as_reduce(rhs)
-    if r.is_zero():
-        return False
-    for e, _ in r.terms:
-        if e < 3 or (e - 1) & (e - 2):
-            return False
-    return True
+    # every non-constant term of the reduced rhs is x^(2^e + 1), or x (from
+    # x^2), and there is one: the cover is then one of the supersingular
+    # hyperelliptic family (a constant does not change it over the closure)
+    exps = [e for e, _ in as_reduce(rhs).terms if e]
+    return bool(exps) and not any((e - 1) & (e - 2) for e in exps)
 
 
 def _verify_numeric(curve, genus, N, budget):
@@ -453,13 +451,10 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET):
         field of definition, certifying pieces of hyperelliptic shape that
         exceed the budget ("certified-not-recounted").
     (c) If even the splitting field is out of capacity, certify stratum by
-        stratum from the construction bookkeeping.
+        stratum from the curve's strata.
     """
-    genus, N = _genus_and_degree(curve, budget)
+    genus, N = _genus_and_degree(curve)
     report = VerificationReport(genus=genus, supersingular=True)
-
-    if isinstance(curve, CurveSpec) and not is_irreducible(curve):
-        raise ValueError("curve is reducible")
 
     if genus == 0:
         # rational: nothing to verify (the zero abelian variety)
@@ -519,11 +514,7 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET):
         return report
 
     # stratum-level certificates only
-    strata = getattr(curve, "strata", None)
-    if not strata:
-        raise CapacityError("cannot verify: no quotient pieces within capacity "
-                            "and no construction bookkeeping to certify from")
-    for (u, _), (count, gp) in zip(strata, stratum_rows(strata)):
+    for (u, _), (count, gp) in zip(curve.strata, stratum_rows(curve.strata)):
         report.pieces.append({
             "label": "stratum u=%d" % u, "count": count,
             "genus": gp, "mode": "certified-not-recounted",
@@ -535,19 +526,14 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET):
     return report
 
 
-def _genus_and_degree(curve, budget):
+def _genus_and_degree(curve):
     if isinstance(curve, QuotientCurve):
         return curve.genus, curve.rhs.field.degree
-    if isinstance(curve, FibreProductSpec):
-        _check_rank(curve)
-    if isinstance(curve, FibreProductSpec) or (
-            isinstance(curve, CurveSpec) and curve.strata):
-        total = sum(c * gp for c, gp in stratum_rows(curve.strata))
-        return total, curve.field.degree
-    if isinstance(curve, CurveSpec):
-        pieces = decomposition(curve, max_degree=budget.max_degree)
-        return sum(p.genus for p in pieces), curve.field.degree
-    raise TypeError("cannot verify %r" % type(curve).__name__)
+    if not isinstance(curve, (CurveSpec, FibreProductSpec)):
+        raise TypeError("cannot verify %r" % type(curve).__name__)
+    _check_irreducible(curve)
+    return (sum(c * gp for c, gp in stratum_rows(curve.strata)),
+            curve.field.degree)
 
 
 def _pieces(curve, budget):

@@ -83,6 +83,7 @@ def test_c03_certificates_1_to_4096():
         assert cert.total == g
         assert cert.strata == stratum_certificate(d).strata
         c = build_prime_field(d)
+        assert c.strata == d.strata
         assert stratum_certificate(d).total == g
         assert tuple(to_standard_form(c.derived_T(), c.n)) == c.R_list
     elapsed = time.time() - t0

@@ -53,8 +53,9 @@ def exhaustive_genus_counts(spec):
     """Oracle: (error, {genus: members}) from every nonzero combination.
 
     The error is the one ``certificate`` must raise: ValueError when some
-    reduced degree d >= 1 is not of the form 2^u + 1, else AssertionError
+    reduced degree d >= 3 is not of the form 2^u + 1, else AssertionError
     when some combination reduces to an even degree (a constant or zero).
+    A reduced degree 1 (x^2 reduces to x) is a member of genus 0.
     """
     seen = {}
     error = None
@@ -63,7 +64,7 @@ def exhaustive_genus_counts(spec):
         d = r.degree
         if r.is_zero() or d % 2 == 0:
             error = error or AssertionError
-        elif d < 3 or (d - 1) & (d - 2):
+        elif (d - 1) & (d - 2):
             error = ValueError
         else:
             g = as_genus(f)
@@ -125,6 +126,15 @@ def test_fibre_combinations_are_the_masked_sums():
                 want = sparse_add(want, comp)
         assert f == want
     assert masks == list(range(1, 16))
+
+
+def test_glued_strata_come_from_the_equation():
+    # every single-block genus below 200: the glued equation's own strata
+    # are the block's stratum
+    for g in range(1, 200):
+        d = decompose(g)
+        if d.t == 1:
+            assert glue_single_block(build_components(d)).strata == d.strata
 
 
 def test_glue_genus30():

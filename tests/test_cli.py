@@ -20,6 +20,12 @@ def run(capsys, *argv):
     return rc, out
 
 
+def run_full(capsys, *argv):
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
 def test_decompose(capsys):
     rc, out = run(capsys, "decompose", "221", "--json")
     assert rc == 0
@@ -117,6 +123,17 @@ def test_verify_good_and_bad(capsys, tmp_path):
     rc, out = run(capsys, "verify", str(bad), "--json")
     assert rc == 1
     assert json.loads(out)["supersingular"] is False
+    # R_1 = R_2 = x with S = y^4 + y: the same message with or without a
+    # construction in the metadata
+    for meta in ({"tool_version": "0.1.0"},
+                 {"construction": {"g": 1, "mode": "f2", "glue": False}}):
+        doc = json.loads(bad.read_text())
+        doc["metadata"] = meta
+        bad.write_text(json.dumps(doc))
+        assert run_full(capsys, "verify", str(bad)) == (
+            1, "FAIL: curve is reducible\n", "")
+        assert run_full(capsys, "lpoly", str(bad)) == (
+            2, "", "error: curve is reducible\n")
 
 
 def test_verify_221_mixed(capsys):
@@ -277,17 +294,21 @@ def fibre_file(tmp_path, name, components, metadata=None):
 
 
 def test_fibre_genus_comes_from_the_span(capsys, tmp_path):
-    # x^5 and x^5 + x^3: the combination x^3 has genus 1, so the genus is
-    # 2 + 2 + 1 = 5, not the 6 the component degrees suggest
-    path = fibre_file(tmp_path, "g5.json", [[5], [5, 3]])
-    rc, out = run(capsys, "verify", path, "--json")
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["genus"] == 5 and doc["supersingular"] is True
-    assert doc["failures"] == []
-    rc, out = run(capsys, "lpoly", path)
-    assert rc == 0
-    assert out == "genus 5\nL = [1, 2, 4, 8, 12, 16, 24, 32, 32, 32, 32]\n"
+    for comps, genus, L in (
+            # x^5 and x^5 + x^3: the combination x^3 has genus 1, so the
+            # genus is 2 + 2 + 1 = 5, not the 6 the component degrees suggest
+            ([[5], [5, 3]], 5, [1, 2, 4, 8, 12, 16, 24, 32, 32, 32, 32]),
+            # x^5 + x and x^5: members of genus 2, 2 and 0 (x^2 reduces to x)
+            ([[5, 1], [5]], 4, [1, 2, 4, 4, 8, 8, 16, 16, 16])):
+        path = fibre_file(tmp_path, "g%d.json" % genus, comps)
+        rc, out = run(capsys, "verify", path, "--json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["genus"] == genus and doc["supersingular"] is True
+        assert doc["failures"] == []
+        rc, out = run(capsys, "lpoly", path)
+        assert rc == 0
+        assert out == "genus %d\nL = %s\n" % (genus, L)
 
 
 def test_fibre_genus_ignores_metadata(capsys, tmp_path):
@@ -338,3 +359,72 @@ def test_invalid_fibre_files(capsys, tmp_path):
         for cmd in ("verify", "count", "lpoly"):
             assert main([cmd, path]) == 2, (name, cmd)
             assert "degree 7 is not of the form" in capsys.readouterr().err
+
+
+def edited_fixture(tmp_path, name, edit):
+    """A copy of a fixture with its document changed by edit(doc)."""
+    with open(os.path.join(FIXTURES, name)) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_single_equation_genus_ignores_metadata(capsys, tmp_path):
+    # metadata claiming genus 6 for the genus-5 fixture changes nothing
+    good = os.path.join(FIXTURES, "g5_f2.json")
+    wrong = edited_fixture(
+        tmp_path, "g5_f2.json",
+        lambda doc: doc["metadata"]["construction"].update(g=6))
+    for argv in (["verify", "--json"], ["lpoly"]):
+        got = run_full(capsys, argv[0], wrong, *argv[1:])
+        assert got == run_full(capsys, argv[0], good, *argv[1:]), argv
+        assert got[0] == 0
+    assert got[1].startswith("genus 5\n")
+
+
+def test_stratum_branch_without_metadata(capsys, tmp_path):
+    # the alpha space of g221 splits over F_2^24, beyond --max-degree 8: the
+    # verdict is certified from the strata of the equation itself
+    argv = ("--max-degree", "8", "--skip-additivity")
+    good = os.path.join(FIXTURES, "g221_f2.json")
+    bare = edited_fixture(tmp_path, "g221_f2.json",
+                          lambda doc: doc.pop("metadata"))
+    for extra in ((), ("--json",)):
+        got = run_full(capsys, "verify", bare, *argv, *extra)
+        assert got == run_full(capsys, "verify", good, *argv, *extra)
+    rc, out, err = got
+    doc = json.loads(out)
+    assert rc == 0 and err == "" and doc["supersingular"] == "certified"
+    assert doc["checks"]["stratum_genus_total"] is True
+    assert [(p["label"], p["count"], p["genus"]) for p in doc["pieces"]] == [
+        ("stratum u=1", 1, 1), ("stratum u=2", 14, 2), ("stratum u=3", 48, 4)]
+
+
+def test_certifiable_shape_allows_constant_and_x_terms(capsys, tmp_path):
+    # x^8193 + 1 is the cover x^8193 twisted by a constant, and x^8193 + x
+    # is x R(x) with R = x^8192 + x (x^2 reduces to x): the same certified
+    # verdict as x^8193, where both were refused for want of a shape
+    plain = fibre_file(tmp_path, "plain.json", [[8193]])
+    for name, comps in (("const.json", [[8193, 0]]), ("x.json", [[8193, 1]])):
+        path = fibre_file(tmp_path, name, comps)
+        for argv in (["verify", "--json"], ["verify"]):
+            got = run_full(capsys, argv[0], path, *argv[1:])
+            assert got == run_full(capsys, argv[0], plain, *argv[1:]), argv
+        rc, out, _ = run_full(capsys, "verify", path, "--json")
+        doc = json.loads(out)
+        assert rc == 0 and doc["genus"] == 4096
+        assert doc["supersingular"] == "certified"
+
+
+def test_lpoly_of_a_genus_0_curve(capsys, tmp_path):
+    # no components, or one component x: rational curves with L = 1
+    for name, comps in (("empty.json", []), ("x.json", [[1]])):
+        path = fibre_file(tmp_path, name, comps)
+        assert run_full(capsys, "lpoly", path) == (0, "genus 0\nL = [1]\n", "")
+        rc, out = run(capsys, "lpoly", path, "--json")
+        assert rc == 0 and json.loads(out) == {"genus": 0, "lpoly": ["1"]}
+        assert run_full(capsys, "verify", path) == (
+            0, "genus 0\nsupersingular: true\nchecks: "
+               '{"rational": true, "powersum_additivity": true}\n', "")

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from sscurves.builder import CurveSpec, build_prime_field, glue_single_block, \
-    build_components
+    build_components, stratum_rows
 from sscurves.decomp import decompose
 from sscurves.field import embedding_into, make_field, pgcd
 from sscurves.linops import (as_reduce, lin, lin_add, lin_eval, lin_kernel,
@@ -175,6 +175,33 @@ def test_is_irreducible_matches_ordinary_oracle():
         assert is_irreducible(c) == expected
         verdicts[expected] += 1
     assert verdicts[True] and verdicts[False], verdicts     # 290 and 10
+
+
+def test_strata_match_decomposition_genera():
+    # random irreducible curves over F_2..F_8, columns 0..3: a column-0
+    # entry gives quotients of genus 0 (x * a x = a x^2 reduces to x)
+    rng = random.Random(10)
+    genera = Counter()
+    checked = 0
+    while checked < 150:
+        F = make_field(rng.randrange(1, 4))
+        n = rng.randrange(1, 5)
+        S = lin(F, [rng.randrange(1, F.order)]
+                + [rng.randrange(F.order) for _ in range(n - 1)] + [1])
+        R_list = tuple(lin(F, [rng.choice((0, 1, rng.randrange(F.order)))
+                               for _ in range(rng.randrange(1, 5))])
+                       for _ in range(n))
+        c = CurveSpec(F, S, R_list)
+        if all(R.is_zero() for R in R_list) or not is_irreducible(c):
+            continue
+        expected = Counter(p.genus for p in decomposition(c))
+        got = Counter()
+        for count, genus in stratum_rows(c.strata):
+            got[genus] += count
+        assert got == expected, (S, R_list)
+        genera.update(expected)
+        checked += 1
+    assert genera[0] and genera[1] and genera[4], genera
 
 
 def test_decomposition_sums():

@@ -13,9 +13,8 @@ import os
 import sys
 
 from . import __version__, jsonio, render
-from .builder import (CurveSpec, FibreProductSpec, build_components,
-                      build_prime_field, glue_single_block,
-                      stratum_certificate)
+from .builder import (CurveSpec, build_components, build_prime_field,
+                      glue_single_block, stratum_certificate)
 from .classify import covers_isomorphic, curves_isomorphic, radical
 from .decomp import decompose
 from .limits import (DEFAULT_LOG2_POINTS, DEFAULT_MAX_DEGREE, Budget,
@@ -35,6 +34,16 @@ def _budget(args):
         maxdeg = int(os.environ.get("SSCURVES_MAX_DEGREE",
                                     DEFAULT_MAX_DEGREE))
     return Budget(log2_points=log2, max_degree=maxdeg)
+
+
+def _positive(text):
+    try:            # argparse's own wording for a non-int
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 def _emit(args, doc, human_lines=None):
@@ -161,7 +170,7 @@ def cmd_verify(args):
     for key, ok in report.checks.items():
         if ok is False:
             failures.append(key)
-    if not args.skip_additivity and isinstance(curve, (CurveSpec, FibreProductSpec)):
+    if not args.skip_additivity:
         try:
             ok = powersum_additivity_check(curve, args.kmax, budget)
             doc["checks"]["powersum_additivity"] = ok
@@ -275,7 +284,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="full verification ladder")
     p.add_argument("curvefile")
-    p.add_argument("--kmax", type=int, default=2,
+    p.add_argument("--kmax", type=_positive, default=2,
                    help="extensions for the power-sum additivity check")
     p.add_argument("--skip-additivity", action="store_true")
     common(p)

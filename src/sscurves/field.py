@@ -31,9 +31,9 @@ _TABLE_MAX_DEGREE = 20
 class BinaryField:
     """Arithmetic in F_{2^N} = GF(2)[x]/(modulus), elements as bit vectors."""
 
-    __slots__ = ("degree", "modulus", "order", "_top", "_trace_mask",
-                 "_trace_dual", "_sqr_tables", "_exp", "_log",
-                 "_generator_order", "_baby_steps")
+    __slots__ = ("degree", "modulus", "order", "_top", "_trace_dual",
+                 "_sqr_tables", "_exp", "_log", "_generator_order",
+                 "_baby_steps")
 
     def __init__(self, degree, modulus):
         if gf2x.degree(modulus) != degree:
@@ -44,7 +44,6 @@ class BinaryField:
         self.modulus = modulus
         self.order = 1 << degree
         self._top = 1 << degree
-        self._trace_mask = None
         self._trace_dual = None
         self._sqr_tables = None
         self._exp = None
@@ -170,14 +169,7 @@ class BinaryField:
 
     def trace_mask(self):
         """Bitmask m with trace(a) == parity of popcount(a & m); trace is F_2-linear."""
-        mask = self._trace_mask
-        if mask is None:
-            mask = 0
-            for i in range(self.degree):
-                if self._trace_direct(1 << i):
-                    mask |= 1 << i
-            self._trace_mask = mask
-        return mask
+        return self.trace_dual()[0]
 
     def trace(self, a):
         """Absolute trace to F_2: sum of a^(2^i) for i < N, landing in {0,1}."""
@@ -188,28 +180,26 @@ class BinaryField:
 
         Tr(a b) is the parity of popcount(b & m) with m the xor of d_k over
         the bits k of a.  The matrix is Hankel: Tr(gamma^(k+j)) depends on
-        k + j only, so one trace sequence of length 2N - 1 fills it.
+        k + j only, so one trace sequence of length 2N - 1 fills it.  The
+        conjugates of gamma are the roots of the modulus, so Tr(gamma^i) is
+        their i-th power sum, and Newton's identities over F_2 give it from
+        the modulus alone: p_0 = N mod 2 and, with e_j the coefficient of
+        x^(N-j), p_i = sum_(0<j<i, j<=N) e_j p_(i-j), plus i e_i for i <= N.
         """
         dual = self._trace_dual
         if dual is None:
-            seq = 0
-            v = 1
-            for i in range(2 * self.degree - 1):
-                seq |= self.trace(v) << i
-                v <<= 1
-                if v & self._top:
-                    v ^= self.modulus
+            n, m = self.degree, self.modulus
+            p = [n & 1]
+            for i in range(1, 2 * n - 1):
+                s = i & (m >> (n - i)) & 1 if i <= n else 0
+                for j in range(1, min(i, n + 1)):
+                    s ^= (m >> (n - j)) & p[i - j]
+                p.append(s)
+            seq = sum(b << i for i, b in enumerate(p))
             full = self.order - 1
-            dual = [(seq >> k) & full for k in range(self.degree)]
+            dual = [(seq >> k) & full for k in range(n)]
             self._trace_dual = dual
         return dual
-
-    def _trace_direct(self, a):
-        t = acc = a
-        for _ in range(self.degree - 1):
-            t = self.sqr(t)
-            acc ^= t
-        return acc
 
     # -- discrete exp/log tables -------------------------------------------
 
@@ -426,13 +416,6 @@ def psqr(F, a):
         if c:
             out[2 * i] = F.sqr(c)
     return ptrim(out)
-
-
-def peval(F, c, x):
-    acc = 0
-    for coef in reversed(c):
-        acc = F.mul(acc, x) ^ coef
-    return acc
 
 
 def frobenius_power_mod(F, m, steps):

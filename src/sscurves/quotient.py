@@ -59,6 +59,10 @@ class QuotientCurve:
     rhs: SparsePoly
     genus: int
 
+    @property
+    def field(self):
+        return self.rhs.field
+
 
 def dual_equation(c):
     """The linearized equation satisfied by the quotient parameters of c."""

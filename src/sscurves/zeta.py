@@ -1,23 +1,25 @@
 """Exact point counting, L-polynomials, Newton polygons, supersingularity.
 
-Every right-hand side built here is a sum of terms c x^e whose exponents
-have binary weight at most 2 (x R(x) with R linearized, and its twists), so
-Q(x) = Tr f(x) is an F_2-quadratic form on the field.  A point count is a
-character sum of such forms: sum_x (-1)^Q(x) is 0 when Q is not constant on
-the radical W of its bilinear form, and (-1)^Arf(Q) 2^((N + dim W)/2)
-otherwise.  Symplectic reduction finds W and the Arf sign exactly from
-O(N^2) field operations, without visiting the 2^N field elements.  The
-rows of the bilinear form are the basis images of a linearized polynomial,
-one power chain per coefficient (``lin_images``), read through the cached
-trace-dual matrix; coefficients reach the extension through embeddings
-found by trace splitting, and squarings read per-field byte tables.  Every
-count is one step over right-hand sides f_j with 2^w points over x when
-all Tr f_j(x) vanish (fibre product components, or alpha T over a basis of
-the kernel of the trace adjoint of S in S(y) = T(x)), which sums the forms
-of the F_2-span of the f_j.  Only an exponent of binary weight 3 or more
-(a hand-written curve file, say) makes it enumerate the field instead.
-Either way a count is admitted by the same explicit budget on the field
-size.
+``count_points`` turns a curve into one count: a CurveSpec or a
+FibreProductSpec is checked for irreducibility, then its field size
+against the budget, and then becomes right-hand sides f_j with 2^w points
+over x when all Tr f_j(x) vanish (a fibre product's components, or alpha T
+over a basis of the kernel of the trace adjoint of S in S(y) = T(x));
+``count_artin_schreier`` counts one right-hand side.  Every right-hand
+side built here is a sum of terms c x^e whose exponents have binary weight
+at most 2 (x R(x) with R linearized, and its twists), so Q(x) = Tr f(x) is
+an F_2-quadratic form on the field.  A point count is a character sum of
+such forms: sum_x (-1)^Q(x) is 0 when Q is not constant on the radical W
+of its bilinear form, and (-1)^Arf(Q) 2^((N + dim W)/2) otherwise.
+Symplectic reduction finds W and the Arf sign exactly from O(N^2) field
+operations, without visiting the 2^N field elements, and a count sums the
+forms of the F_2-span of the f_j.  The rows of the bilinear form are the
+basis images of a linearized polynomial, one power chain per coefficient
+(``lin_images``), read through the cached trace-dual matrix; coefficients
+reach the extension through embeddings found by trace splitting, and
+squarings read per-field byte tables.  Only an exponent of binary weight 3
+or more (a hand-written curve file, say) makes it enumerate the field
+instead.
 
 L-polynomial coefficients come from the counted power sums through the
 Newton identities and the functional equation, in exact integer
@@ -30,6 +32,7 @@ pieces and each piece is counted over its own field of definition; pieces
 beyond the budget whose equation has the hyperelliptic shape
 w^2 + w = x R(x) are certified structurally instead of being recounted.
 Past the splitting field's capacity it certifies from the curve's strata.
+Power-sum additivity compares the curve's counts with the same pieces.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -95,15 +98,25 @@ def count_points(curve, k, budget=DEFAULT_BUDGET):
 
     Exactly one point at infinity is added; this needs every index-2 quotient
     of the cover to be ramified there (odd reduced right-hand sides), which
-    is checked before counting.
+    is checked before the budget.
     """
     if isinstance(curve, QuotientCurve):
         return count_artin_schreier(curve.rhs, k, budget)
+    _check_irreducible(curve)
+    F = curve.field
+    budget.check_points(F.degree * k)
+    ext, emb = extend_and_embed(F, k)
     if isinstance(curve, FibreProductSpec):
-        return _count_fibre(curve, k, budget)
-    if isinstance(curve, CurveSpec):
-        return _count_single(curve, k, budget)
-    raise TypeError("cannot count points of %r" % type(curve).__name__)
+        return _count(ext, [f.map_field(emb).terms for f in curve.components])
+    # #{y : S(y) = t} is 2^w if Tr(alpha t) = 0 on the w-dimensional kernel
+    # of the trace adjoint S*(alpha) = sum_i (A_i alpha)^(2^-i), else 0: the
+    # fibre product of the alpha T over a kernel basis.  S*(alpha)^(2^n) is
+    # linearized over the base field with coefficients A_(n-i)^(2^i).
+    n = curve.n
+    adjoint = lin(F, [F.frobenius(curve.S.coeff(n - i), i) for i in range(n + 1)])
+    terms = curve.derived_T().map_field(emb).terms
+    return _count(ext, [[(e, ext.mul(alpha, t)) for e, t in terms]
+                        for alpha in lin_kernel(adjoint, ext, emb)])
 
 
 def count_artin_schreier(rhs, k, budget=DEFAULT_BUDGET):
@@ -118,37 +131,14 @@ def count_artin_schreier(rhs, k, budget=DEFAULT_BUDGET):
     return _count(ext, [rhs.map_field(emb).terms])
 
 
-def _count_single(c, k, budget):
-    # #{y : S(y) = t} is 2^w if Tr(alpha t) = 0 on the w-dimensional kernel
-    # of the trace adjoint S*(alpha) = sum_i (A_i alpha)^(2^-i), else 0: the
-    # fibre product of the alpha T over a kernel basis.  S*(alpha)^(2^n) is
-    # linearized over the base field with coefficients A_(n-i)^(2^i).
-    _check_irreducible(c)
-    budget.check_points(c.field.degree * k)
-    ext, emb = extend_and_embed(c.field, k)
-    F, n = c.field, c.n
-    adjoint = lin(F, [F.frobenius(c.S.coeff(n - i), i) for i in range(n + 1)])
-    terms = c.derived_T().map_field(emb).terms
-    return _count(ext, [[(e, ext.mul(alpha, t)) for e, t in terms]
-                        for alpha in lin_kernel(adjoint, ext, emb)])
-
-
-def _count_fibre(spec, k, budget):
-    """Points of a fibre product over the degree-k extension of its field.
-
-    Every combination must reduce to an odd degree: the span's rank equals
-    the weight.  The leading degrees need not be of the form 2^u + 1.
-    """
-    budget.check_points(spec.field.degree * k)
-    _check_irreducible(spec)
-    ext, emb = extend_and_embed(spec.field, k)
-    return _count(ext, [f.map_field(emb).terms for f in spec.components])
-
-
 def _check_irreducible(curve):
-    if isinstance(curve, CurveSpec) and not is_irreducible(curve):
-        raise ValueError("curve is reducible")
-    if isinstance(curve, FibreProductSpec) and curve.rank < curve.weight:
+    if isinstance(curve, CurveSpec):
+        if not is_irreducible(curve):
+            raise ValueError("curve is reducible")
+    elif not isinstance(curve, FibreProductSpec):
+        raise TypeError("expected a CurveSpec or a FibreProductSpec, not %r"
+                        % type(curve).__name__)
+    elif curve.rank < curve.weight:
         raise ValueError("fibre product has a component combination with "
                          "even reduced degree")
 
@@ -320,7 +310,7 @@ def count_series(curve, genus, budget=DEFAULT_BUDGET, kmax=None):
     """CountSeries for k = 1..kmax (default genus + 2), Weil-checked."""
     if kmax is None:
         kmax = genus + 2
-    q = curve.rhs.field.order if isinstance(curve, QuotientCurve) else curve.field.order
+    q = curve.field.order
     counts = tuple(count_points(curve, k, budget) for k in range(1, kmax + 1))
     return CountSeries(q, counts, genus).check_weil()
 
@@ -435,16 +425,15 @@ def _hyperelliptic_shape(rhs):
 
 def _verify_numeric(curve, genus, N, budget):
     series = count_series(curve, genus, budget)
-    L = lpoly_from_counts(CountSeries(series.q, series.counts[:genus], genus))
+    L = lpoly_from_counts(series)
     predictions_ok = all(
         predicted_count(L, k) == series.counts[k - 1]
         for k in range(genus + 1, len(series.counts) + 1))
-    np_report = newton_polygon(L, N)
-    return L, np_report, predictions_ok, series
+    return L, newton_polygon(L, N), predictions_ok
 
 
 def verify_supersingular(curve, budget=DEFAULT_BUDGET):
-    """Decide supersingularity along a three-step ladder.
+    """Decide supersingularity of a CurveSpec or FibreProductSpec along a ladder.
 
     (a) Count the curve itself when its count fits the budget.
     (b) Otherwise split off the quotient pieces and verify each over its
@@ -462,7 +451,7 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET):
         return report
 
     if budget.fits_points(N * (genus + 2)):
-        L, np_report, pred_ok, series = _verify_numeric(curve, genus, N, budget)
+        L, np_report, pred_ok = _verify_numeric(curve, genus, N, budget)
         report.lpoly = L
         report.slopes = np_report.slopes
         report.checks["weil_bounds"] = True
@@ -490,7 +479,7 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET):
                 entry["supersingular"] = True
             elif budget.fits_points(d * (gp + 2)):
                 piece = QuotientCurve(0, small, gp)
-                L, np_report, pred_ok, _ = _verify_numeric(piece, gp, d, budget)
+                L, np_report, pred_ok = _verify_numeric(piece, gp, d, budget)
                 entry["mode"] = "numeric"
                 entry["supersingular"] = bool(np_report.supersingular and pred_ok)
                 entry["lpoly"] = list(L.coeffs)
@@ -527,10 +516,6 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET):
 
 
 def _genus_and_degree(curve):
-    if isinstance(curve, QuotientCurve):
-        return curve.genus, curve.rhs.field.degree
-    if not isinstance(curve, (CurveSpec, FibreProductSpec)):
-        raise TypeError("cannot verify %r" % type(curve).__name__)
     _check_irreducible(curve)
     return (sum(c * gp for c, gp in stratum_rows(curve.strata)),
             curve.field.degree)
@@ -538,8 +523,6 @@ def _genus_and_degree(curve):
 
 def _pieces(curve, budget):
     """(label, rhs, expected_genus) per jacobian piece, or None if out of capacity."""
-    if isinstance(curve, QuotientCurve):
-        return [("self", curve.rhs, curve.genus)]
     if isinstance(curve, FibreProductSpec):
         return [("combination 0x%x" % mask, f, None)
                 for mask, f in fibre_combinations(curve)]
@@ -553,24 +536,22 @@ def _pieces(curve, budget):
 def powersum_additivity_check(curve, kmax, budget=DEFAULT_BUDGET):
     """Counts of the curve match the summed counts of its quotient pieces.
 
-    Both sides are counted over the compositum (the alpha-space ambient for
-    single-equation curves, the base field for fibre products), for every
-    k = 1..kmax:  count(C) - (Q+1)  =  sum_pieces (count(piece) - (Q+1)).
+    Both sides are counted over the pieces' field (the alpha-space ambient
+    for single-equation curves, the base field for fibre products), for
+    every k = 1..kmax:  count(C) - (Q+1)  =  sum_pieces (count(piece) - (Q+1)).
     """
-    if isinstance(curve, CurveSpec):
-        pieces = [p.rhs for p in
-                  decomposition(curve, max_degree=budget.max_degree)]
-        M = pieces[0].field.degree      # the alpha-space ambient
-    elif isinstance(curve, FibreProductSpec):
-        pieces = [f for _, f in fibre_combinations(curve)]
-        M = curve.field.degree
-    else:
-        raise TypeError("additivity check needs a decomposable curve")
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    _check_irreducible(curve)
+    pieces = _pieces(curve, budget)
+    if pieces is None:
+        raise CapacityError("quotient pieces exceed the degree bound")
+    M = pieces[0][1].field.degree if pieces else curve.field.degree
     scale = M // curve.field.degree
     for k in range(1, kmax + 1):
         Q = 1 << (M * k)
         lhs = count_points(curve, scale * k, budget) - (Q + 1)
-        if lhs != sum(count_artin_schreier(f, k, budget) - (Q + 1)
-                      for f in pieces):
+        if lhs != sum(count_artin_schreier(rhs, k, budget) - (Q + 1)
+                      for _, rhs, _ in pieces):
             return False
     return True

@@ -428,3 +428,38 @@ def test_lpoly_of_a_genus_0_curve(capsys, tmp_path):
         assert run_full(capsys, "verify", path) == (
             0, "genus 0\nsupersingular: true\nchecks: "
                '{"rational": true, "powersum_additivity": true}\n', "")
+
+
+def test_verify_kmax_must_be_positive(capsys):
+    # --kmax 0 used to report additivity true after checking nothing
+    g5 = os.path.join(FIXTURES, "g5_f2.json")
+    for kmax in ("0", "-1"):
+        with pytest.raises(SystemExit) as ex:
+            main(["verify", g5, "--kmax", kmax])
+        assert ex.value.code == 2
+        assert ("argument --kmax: must be at least 1, got %s\n" % kmax
+                in capsys.readouterr().err)
+    rc, out = run(capsys, "verify", g5, "--kmax", "1", "--json")
+    assert rc == 0 and json.loads(out)["checks"]["powersum_additivity"] is True
+
+
+def test_count_checks_validity_before_budget(capsys, tmp_path):
+    # x^8193 and x^8193 + 1 sum to a constant: count refuses the file with
+    # verify's message, also where the count would exceed the budget
+    dep = fibre_file(tmp_path, "dep.json", [[8193], [8193, 0]])
+    message = ("fibre product has a component combination with even "
+               "reduced degree")
+    assert run_full(capsys, "verify", dep) == (1, "FAIL: %s\n" % message, "")
+    for ext in ("1", "30"):
+        assert run_full(capsys, "count", dep, "--ext", ext) == (
+            2, "", "error: %s\n" % message)
+
+
+def test_additivity_skipped_past_max_degree(capsys):
+    # the pieces of g221 live over F_2^24: past --max-degree 8 the ladder
+    # certifies from the strata and the additivity check is skipped
+    g221 = os.path.join(FIXTURES, "g221_f2.json")
+    rc, out = run(capsys, "verify", g221, "--max-degree", "8", "--json")
+    doc = json.loads(out)
+    assert rc == 0 and doc["supersingular"] == "certified"
+    assert doc["checks"]["powersum_additivity"] == "skipped (budget)"

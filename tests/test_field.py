@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sscurves import gf2x
-from sscurves.field import (BinaryField, F2LinearMap, embedding_into,
-                            extend_and_embed, f2_linear_solve, make_field,
-                            peval, poly_roots)
+from sscurves.field import (BinaryField, F2LinearMap, _xor_rows,
+                            embedding_into, extend_and_embed, f2_linear_solve,
+                            make_field, poly_roots)
 from sscurves.limits import CapacityError
 
 SMALL = settings(max_examples=150, deadline=None)
@@ -15,6 +15,14 @@ F2 = make_field(1)
 F4 = make_field(2)
 F16 = make_field(4)
 ALPHA = 2
+
+
+def peval(F, c, x):
+    """Horner evaluation of the little-endian coefficient list c at x."""
+    acc = 0
+    for coef in reversed(c):
+        acc = F.mul(acc, x) ^ coef
+    return acc
 
 
 def test_make_field_canonical_moduli():
@@ -81,6 +89,28 @@ def test_trace():
         for _ in range(50):
             a, b = rng.randrange(F.order), rng.randrange(F.order)
             assert F.trace(a ^ b) == F.trace(a) ^ F.trace(b)
+
+
+def conjugate_sum(F, a):
+    acc = t = a
+    for _ in range(F.degree - 1):
+        t = F.sqr(t)
+        acc ^= t
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_trace_is_the_sum_of_conjugates(n):
+    # the trace-dual rows come from the modulus by Newton's identities;
+    # trace and Tr(a b) read them, and must agree with the definition
+    F = make_field(n)
+    rng = random.Random(n)
+    dual = F.trace_dual()
+    for _ in range(8):
+        a, b = rng.randrange(F.order), rng.randrange(F.order)
+        assert F.trace(a) == conjugate_sum(F, a)
+        ab = (b & _xor_rows(dual, a)).bit_count() & 1
+        assert ab == conjugate_sum(F, F.mul(a, b))
 
 
 @pytest.mark.parametrize("F", [F2, F4, F16])

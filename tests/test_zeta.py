@@ -11,7 +11,7 @@ from sscurves.builder import (CurveSpec, FibreProductSpec, build_components,
 from sscurves.decomp import decompose
 from sscurves.field import F2LinearMap, extend_and_embed, make_field
 from sscurves.gf2x import smallest_irreducible
-from sscurves.limits import Budget, BudgetError
+from sscurves.limits import Budget, BudgetError, CapacityError
 from sscurves.linops import lin, lin_compose, lin_eval, sparse, sparse_eval
 from sscurves.quotient import QuotientCurve, is_irreducible
 from sscurves.zeta import (CountSeries, InconsistentCounts, LPoly,
@@ -446,6 +446,42 @@ def test_powersum_additivity():
         assert powersum_additivity_check(build_prime_field(decompose(g)), 2, B16)
     spec5 = build_components(decompose(5))
     assert powersum_additivity_check(spec5, 2, B16)
+
+
+def test_powersum_additivity_edges():
+    c5 = build_prime_field(decompose(5))
+    # kmax < 1 would check nothing
+    for kmax in (0, -1):
+        with pytest.raises(ValueError, match="kmax"):
+            powersum_additivity_check(c5, kmax, B16)
+    # the alpha space of g221 splits over F_2^24, beyond max_degree 8
+    c221 = build_prime_field(decompose(221))
+    with pytest.raises(CapacityError):
+        powersum_additivity_check(c221, 1, Budget(max_degree=8))
+    # no components: no pieces, the curve's own field, P^1 on both sides
+    assert powersum_additivity_check(FibreProductSpec(F2, ()), 2, B16)
+    with pytest.raises(TypeError):
+        powersum_additivity_check(QuotientCurve(0, sparse(F2, {5: 1}), 2), 1)
+
+
+def test_spec_kinds_only():
+    # a quotient curve is counted, but it is not a curve the ladder verifies
+    q5 = QuotientCurve(0, sparse(F2, {5: 1}), 2)
+    assert q5.field is F2
+    with pytest.raises(TypeError):
+        verify_supersingular(q5, B16)
+    with pytest.raises(TypeError):
+        count_points(sparse(F2, {5: 1}), 1)
+
+
+def test_count_checks_validity_before_budget():
+    # the span of x^8193 and x^8193 + 1 holds a constant: refused as invalid
+    # even where its count would also exceed the budget
+    spec = FibreProductSpec(F2, (sparse(F2, {8193: 1}),
+                                 sparse(F2, {8193: 1, 0: 1})))
+    for k in (1, 30):
+        with pytest.raises(ValueError, match="even reduced degree"):
+            count_points(spec, k, B16)
 
 
 def test_weil_bounds_hold_for_counted_series():

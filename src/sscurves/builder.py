@@ -18,7 +18,7 @@ over F_{2^m} (``glue_single_block``).
 from dataclasses import dataclass
 from functools import cached_property
 
-from .field import BinaryField, _echelonize, make_field
+from .field import BinaryField, _echelonize, f2_span, make_field
 from .linops import (LinPoly, SparsePoly, as_reduce, lin, lin_add,
                      lin_monomial, lin_rmod, lin_twist, sparse, sparse_add,
                      sparse_scale, sparse_twist, times_x)
@@ -200,17 +200,9 @@ def equation_strata(c):
 
 
 def fibre_combinations(spec):
-    """All 2^w - 1 nonzero F_2-combinations of the components, mask order.
-
-    Combination mask is combination mask ^ low plus one component, low the
-    lowest set bit of mask.
-    """
-    combos = [sparse(spec.field, {})]
-    for mask in range(1, 1 << spec.weight):
-        low = mask & -mask
-        combos.append(sparse_add(combos[mask ^ low],
-                                 spec.components[low.bit_length() - 1]))
-        yield mask, combos[-1]
+    """The 2^w - 1 nonzero F_2-combinations of the components: (mask, sum)."""
+    return list(enumerate(f2_span(spec.components, sparse(spec.field, {}),
+                                  sparse_add)))[1:]
 
 
 def certificate(spec):

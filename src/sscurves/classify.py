@@ -12,7 +12,8 @@ of the line, and the verdict is labelled accordingly.
 
 from dataclasses import dataclass
 
-from .field import BinaryField, _echelonize, extend_and_embed, poly_roots
+from .field import (BinaryField, _echelonize, extend_and_embed, f2_span,
+                    poly_roots)
 from .linops import lin, lin_add, lin_kernel, splitting_degree
 from .limits import DEFAULT_MAX_DEGREE, CapacityError
 
@@ -135,6 +136,8 @@ def covers_isomorphic(L, L2, max_degree=DEFAULT_MAX_DEGREE):
     of covers x R(x)).  Candidates for rho come from matching a maximal-
     degree element of L against each same-degree element of span(L2); every
     candidate is verified by exact span comparison over the extension field.
+    Raises ValueError for an empty basis, a zero element, or bases whose
+    elements all have 2-degree 0 (X^2 = c has no distinct roots to try).
     """
     if len(L) != len(L2):
         return None
@@ -143,25 +146,19 @@ def covers_isomorphic(L, L2, max_degree=DEFAULT_MAX_DEGREE):
     F = L[0].field
     if any(R.field != F for R in list(L) + list(L2)):
         raise ValueError("coefficient fields differ")
-    n = len(L)
+    if any(R.is_zero() for R in list(L) + list(L2)):
+        raise ValueError("zero polynomial in a basis")
     hmax = max(R.h for R in L)
     if max(R.h for R in L2) != hmax:
         return None
+    if hmax == 0:
+        raise ValueError("bases need an element of 2-degree at least 1")
     src = max(L, key=lambda R: (R.h, R.coeffs))
-    targets = []
-    for mask in range(1, 1 << n):
-        acc = lin(F, [])
-        m, i = mask, 0
-        while m:
-            if m & 1:
-                acc = lin_add(acc, L2[i])
-            m >>= 1
-            i += 1
-        if acc.h == hmax:
-            targets.append(acc)
     d = (1 << hmax) + 1
     seen = set()
-    for tgt in targets:
+    for tgt in f2_span(L2, lin(F, []), lin_add)[1:]:
+        if tgt.h != hmax:
+            continue
         c = F.div(tgt.coeffs[-1], src.coeffs[-1])
         if c in seen:
             continue

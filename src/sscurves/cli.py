@@ -272,7 +272,7 @@ def build_parser():
 
     p = sub.add_parser("count", help="count points over an extension")
     p.add_argument("curvefile")
-    p.add_argument("--ext", type=int, default=1, metavar="K",
+    p.add_argument("--ext", type=_positive, default=1, metavar="K",
                    help="extension degree over the curve's field")
     common(p)
     p.set_defaults(func=cmd_count)

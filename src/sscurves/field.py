@@ -21,6 +21,8 @@ of degree d splits into d distinct roots in every extension of degree
 divisible by d, so it goes to trace splitting without the split test.
 """
 
+from operator import xor
+
 from . import gf2x
 from .limits import DEFAULT_MAX_DEGREE, CapacityError
 
@@ -253,18 +255,25 @@ class BinaryField:
 def byte_tables(images):
     """Lookup tables of the F_2-linear map sending bit i to images[i].
 
-    Table k has 256 rows, row b the xor of images[8k + i] over the bits i
-    of b, so the map costs one lookup per byte of its input.
+    With len(images) a multiple of 8, table k has 256 rows, row b the xor
+    of images[8k + i] over the bits i of b: one lookup per input byte.
     """
-    tables = []
-    for k in range(0, len(images), 8):
-        t = [0] * 256
-        for i, v in enumerate(images[k:k + 8]):
-            bit = 1 << i
-            for b in range(bit):
-                t[bit | b] = t[b] ^ v
-        tables.append(t)
-    return tables
+    return [f2_span(images[k:k + 8], 0, xor)
+            for k in range(0, len(images), 8)]
+
+
+def f2_span(basis, zero, add):
+    """The 2^w F_2-combinations of basis, as a list indexed by mask.
+
+    Entry mask is the sum of basis[i] over the set bits i of mask, at one
+    add apiece: the entries with top bit i are those below 2^i plus basis[i].
+    Any F_2-space with a zero and an addition will do: field elements, and
+    the linearized and sparse polynomials of ``linops``.
+    """
+    span = [zero]
+    for b in basis:
+        span += [add(s, b) for s in span]
+    return span
 
 
 def _xor_rows(rows, z):
@@ -313,17 +322,10 @@ class F2LinearMap:
         rows = _echelonize([v << dim | 1 << i for i, v in enumerate(images)])
         self._kernel = [r for r in rows if not r >> dim]
         self.rows = [r for r in rows if r >> dim]
-        self.rank = len(self.rows)
 
     def kernel_basis(self):
         """Canonical (echelon, ascending) basis of the kernel."""
         return list(self._kernel)
-
-    def kernel_size(self):
-        return 1 << (self.dim - self.rank)
-
-    def image_contains(self, target):
-        return self.solve(target) is not None
 
     def solve(self, target):
         """One preimage of target, or None if target is outside the image."""

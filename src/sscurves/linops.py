@@ -258,14 +258,6 @@ def sparse_twist(f, k):
     return sparse(F, {e << k: F.frobenius(c, k) for e, c in f.terms})
 
 
-def sparse_eval(f, x):
-    F = f.field
-    acc = 0
-    for e, c in f.terms:
-        acc ^= F.mul(c, F.pow(x, e)) if e else c
-    return acc
-
-
 def times_x(R):
     """x * R(x) as a sparse polynomial: terms a_i x^(2^i + 1)."""
     return sparse(R.field, {(1 << i) + 1: a

@@ -9,15 +9,19 @@ the nonzero solutions alpha of the linearized dual equation
 Each alpha yields a quotient curve w^2 + w = sum_k alpha^(2^(n-k)) x R_k(x),
 and the jacobian of C splits up to isogeny into the jacobians of these
 quotients.  The curve is irreducible exactly when no nonzero alpha kills the
-combined right-hand side.
+combined right-hand side.  That right-hand side, and its Artin-Schreier
+reduction, are F_2-linear in alpha, so the quotients' right-hand sides form
+the F_2-span of the n quotients of a basis, just as a fibre product's
+combinations span its components.
 """
 
 from dataclasses import dataclass
+from operator import xor
 
-from .field import BinaryField, FieldEmbedding, _xor_rows, extend_and_embed
+from .field import BinaryField, FieldEmbedding, extend_and_embed, f2_span
 from .linops import (LinPoly, SparsePoly, as_genus, as_reduce, lin, lin_add,
-                     lin_eval, lin_kernel, lin_scale, lin_twist,
-                     splitting_degree, times_x)
+                     lin_eval, lin_kernel, lin_scale, lin_twist, sparse,
+                     sparse_add, splitting_degree, times_x)
 from .limits import DEFAULT_MAX_DEGREE
 
 
@@ -35,9 +39,8 @@ class AlphaSpace:
         return len(self.basis)
 
     def members(self):
-        """All 2^n - 1 nonzero elements, lexicographic in basis coordinates."""
-        for mask in range(1, 1 << self.dim):
-            yield _xor_rows(self.basis, mask)
+        """All 2^n - 1 nonzero elements, in mask order of basis coordinates."""
+        return f2_span(self.basis, 0, xor)[1:]
 
     def contains(self, alpha):
         return lin_eval(self.equation, alpha) == 0
@@ -154,11 +157,18 @@ def is_irreducible(c):
 
 
 def decomposition(c, max_degree=DEFAULT_MAX_DEGREE):
-    """Quotient curves for every nonzero alpha, in deterministic order.
+    """Quotient curves for every nonzero alpha, in the order of members().
 
-    The genera of the list sum to the genus of c.
+    Only the n basis quotients are built; the rest are sums of theirs.
+    Reduction is F_2-linear (c x^(2e) -> sqrt(c) x^e term by term), so the
+    reduced right-hand side of alpha + beta is the sum of those of alpha and
+    beta, and a sum of reduced polynomials (odd exponents and a constant) is
+    already reduced.  The genera of the list sum to the genus of c.
     """
     if not is_irreducible(c):
         raise ValueError("curve is reducible: decomposition undefined")
     space = solve_alpha_space(c, max_degree=max_degree)
-    return [quotient_curve(c, alpha, space) for alpha in space.members()]
+    rhs = f2_span([quotient_curve(c, a, space).rhs for a in space.basis],
+                  sparse(space.ambient, {}), sparse_add)[1:]
+    return [QuotientCurve(alpha, f, as_genus(f))
+            for alpha, f in zip(space.members(), rhs)]

@@ -1,3 +1,5 @@
+from operator import xor
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -6,8 +8,9 @@ from sscurves.builder import (FibreProductSpec, build_components,
                               fibre_combinations, glue_single_block,
                               stratum_certificate, to_standard_form)
 from sscurves.decomp import decompose
-from sscurves.field import make_field
-from sscurves.linops import as_genus, as_reduce, sparse, sparse_add, times_x
+from sscurves.field import _xor_rows, f2_span, make_field
+from sscurves.linops import (as_genus, as_reduce, lin, lin_add, sparse,
+                             sparse_add, times_x)
 from sscurves import jsonio
 
 F2 = make_field(1)
@@ -126,6 +129,18 @@ def test_fibre_combinations_are_the_masked_sums():
                 want = sparse_add(want, comp)
         assert f == want
     assert masks == list(range(1, 16))
+    # the same walk over field elements and over linearized polynomials
+    rows = [3, 5, 0, 9, 6]
+    assert f2_span(rows, 0, xor) == [_xor_rows(rows, mask)
+                                     for mask in range(32)]
+    F = spec.field
+    basis = [lin(F, [1, 2]), lin(F, [0, 0, 3]), lin(F, [1, 2, 3]), lin(F, [3])]
+    for mask, R in enumerate(f2_span(basis, lin(F, []), lin_add)):
+        want = lin(F, [])
+        for i, B in enumerate(basis):
+            if mask >> i & 1:
+                want = lin_add(want, B)
+        assert R == want
 
 
 def test_glued_strata_come_from_the_equation():

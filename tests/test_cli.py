@@ -443,6 +443,42 @@ def test_verify_kmax_must_be_positive(capsys):
     assert rc == 0 and json.loads(out)["checks"]["powersum_additivity"] is True
 
 
+def test_count_ext_must_be_positive(capsys):
+    # --ext 0 used to fail deep in the field code, naming a field degree
+    g5 = os.path.join(FIXTURES, "g5_f2.json")
+    for ext in ("0", "-1"):
+        with pytest.raises(SystemExit) as ex:
+            main(["count", g5, "--ext", ext])
+        assert ex.value.code == 2
+        assert ("argument --ext: must be at least 1, got %s\n" % ext
+                in capsys.readouterr().err)
+    assert run_full(capsys, "count", g5, "--ext", "1") == (0, "3\n", "")
+
+
+def basis_file(tmp_path, name, basis):
+    path = tmp_path / name
+    path.write_text(json.dumps({"field": {"degree": 4, "modulus": "0x13"},
+                                "basis": basis}))
+    return str(path)
+
+
+def test_iso_covers_rejects_a_zero_element(capsys, tmp_path):
+    # a zero polynomial has no 2-degree: this used to end in a TypeError
+    zero = basis_file(tmp_path, "zero.json", [["0x0", "0x1"], []])
+    ok = basis_file(tmp_path, "ok.json", [["0x0", "0x1"], ["0x1", "0x0", "0x1"]])
+    for first, second in ((zero, ok), (ok, zero), (zero, zero)):
+        assert run_full(capsys, "iso", "--mode", "covers", first, second) == (
+            2, "", "error: zero polynomial in a basis\n")
+
+
+def test_iso_covers_rejects_degree_0_bases(capsys, tmp_path):
+    # X^2 = c has one double root: the root search used to run to degree 64
+    # and exit 3
+    const = basis_file(tmp_path, "const.json", [["0x1"]])
+    assert run_full(capsys, "iso", "--mode", "covers", const, const) == (
+        2, "", "error: bases need an element of 2-degree at least 1\n")
+
+
 def test_count_checks_validity_before_budget(capsys, tmp_path):
     # x^8193 and x^8193 + 1 sum to a constant: count refuses the file with
     # verify's message, also where the count would exceed the budget

@@ -6,7 +6,8 @@ import pytest
 from sscurves.builder import CurveSpec, build_prime_field, glue_single_block, \
     build_components, stratum_rows
 from sscurves.decomp import decompose
-from sscurves.field import embedding_into, make_field, pgcd
+from sscurves.field import _xor_rows, embedding_into, make_field, pgcd
+from sscurves.limits import CapacityError
 from sscurves.linops import (as_reduce, lin, lin_add, lin_eval, lin_kernel,
                              lin_scale, lin_twist)
 from sscurves.quotient import (decomposition, dual_equation, is_irreducible,
@@ -210,6 +211,35 @@ def test_decomposition_sums():
         pieces = decomposition(c)
         assert sum(p.genus for p in pieces) == g, g
         assert len(pieces) == (1 << c.n) - 1
+
+
+def test_decomposition_is_the_per_alpha_path():
+    # oracle: one quotient curve built from scratch per member of the space
+    rng = random.Random(20)
+    curves = [build_prime_field(decompose(g)) for g in range(1, 131)]
+    spaces = [solve_alpha_space(c) for c in curves]
+    while len(curves) < 330:
+        F = make_field(rng.randrange(1, 7))
+        n = rng.randrange(1, 5)
+        S = lin(F, [rng.randrange(1, F.order)]
+                + [rng.randrange(F.order) for _ in range(n - 1)] + [1])
+        R_list = tuple(lin(F, [rng.choice((0, 1, rng.randrange(F.order)))
+                               for _ in range(rng.randrange(1, 5))])
+                       for _ in range(n))
+        c = CurveSpec(F, S, R_list)
+        if all(R.is_zero() for R in R_list) or not is_irreducible(c):
+            continue
+        try:
+            spaces.append(solve_alpha_space(c))
+        except CapacityError:
+            continue
+        curves.append(c)
+    for c, space in zip(curves, spaces):
+        members = space.members()
+        assert members == [_xor_rows(space.basis, mask)
+                           for mask in range(1, 1 << space.dim)]
+        assert decomposition(c) == [quotient_curve(c, a, space)
+                                    for a in members], c
 
 
 def test_decomposition_genus221_strata():

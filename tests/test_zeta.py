@@ -12,7 +12,7 @@ from sscurves.decomp import decompose
 from sscurves.field import F2LinearMap, extend_and_embed, make_field
 from sscurves.gf2x import smallest_irreducible
 from sscurves.limits import Budget, BudgetError, CapacityError
-from sscurves.linops import lin, lin_compose, lin_eval, sparse, sparse_eval
+from sscurves.linops import lin, lin_compose, lin_eval, sparse
 from sscurves.quotient import QuotientCurve, is_irreducible
 from sscurves.zeta import (CountSeries, InconsistentCounts, LPoly,
                            count_artin_schreier, count_points, count_series,
@@ -24,6 +24,23 @@ F2 = make_field(1)
 F4 = make_field(2)
 B16 = Budget(log2_points=16)
 HALF = Fraction(1, 2)
+
+
+def sparse_eval(f, x):
+    """Oracle: f(x) term by term."""
+    F = f.field
+    acc = 0
+    for e, c in f.terms:
+        acc ^= F.mul(c, F.pow(x, e)) if e else c
+    return acc
+
+
+def kernel_size(lm):
+    return 1 << len(lm.kernel_basis())
+
+
+def image_contains(lm, target):
+    return lm.solve(target) is not None
 
 
 def brute_count_artin_schreier(F, f):
@@ -41,7 +58,6 @@ def brute_count_artin_schreier(F, f):
 
 def brute_count_single(F, c):
     """Oracle for S(y) = T(x): direct double loop."""
-    from sscurves.linops import lin_eval, sparse_eval
     T = c.derived_T()
     n = 1
     for x in F.elements():
@@ -54,7 +70,6 @@ def brute_count_single(F, c):
 
 def brute_count_fibre(F, spec):
     """Oracle for a fibre product: loop over x and all y-tuples."""
-    from sscurves.linops import sparse_eval
     k = len(spec.components)
     n = 1
     for x in F.elements():
@@ -283,8 +298,8 @@ def enumerate_single(c, k):
     S = c.S.map_field(emb)
     lm = F2LinearMap([lin_eval(S, 1 << i) for i in range(ext.degree)])
     T = c.derived_T().map_field(emb)
-    return 1 + sum(lm.kernel_size() for x in ext.elements()
-                   if lm.image_contains(sparse_eval(T, x)))
+    return 1 + sum(kernel_size(lm) for x in ext.elements()
+                   if image_contains(lm, sparse_eval(T, x)))
 
 
 @SMALL

@@ -22,7 +22,7 @@ from .field import BinaryField, _echelonize, f2_span, make_field
 from .linops import (LinPoly, SparsePoly, as_reduce, lin, lin_add,
                      lin_monomial, lin_rmod, lin_twist, sparse, sparse_add,
                      sparse_scale, sparse_twist, times_x)
-from .quotient import dual_equation
+from .quotient import column_poly, dual_equation
 
 
 @dataclass(frozen=True)
@@ -180,18 +180,17 @@ def equation_strata(c):
 
     The quotient of alpha has genus 2^(h - 1) (0 for h = 0), h the 2-degree
     of R_alpha = sum_k alpha^(2^(n-k)) R_k.  Its coefficient at x^(2^e) is
-    the column polynomial P_e(alpha) = sum_k c_(k,e) alpha^(2^(n-k)), so the
+    the column polynomial P_e(alpha) (``quotient.column_poly``), so the
     alphas with h <= u are the roots of the right gcd of the dual equation
     and the P_e, e > u.  One Euclid chain by right division takes the
     columns from the highest e down; the gcd's 2-degree drops by dim at the
     stratum (u, dim).  The dims sum to n exactly when c is irreducible.
     """
-    n = c.n
     g = dual_equation(c)
     strata = []
     for e in reversed(range(max(len(R.coeffs) for R in c.R_list))):
         h = g.h
-        p = lin(c.field, [c.R_list[n - 1 - i].coeff(e) for i in range(n)])
+        p = column_poly(c, e)
         while not p.is_zero():
             g, p = p, lin_rmod(g, p)
         if g.h < h:

@@ -20,8 +20,8 @@ from .decomp import decompose
 from .limits import (DEFAULT_LOG2_POINTS, DEFAULT_MAX_DEGREE, Budget,
                      BudgetError, CapacityError)
 from .quotient import decomposition, is_irreducible
-from .zeta import (count_points, powersum_additivity_check,
-                   verify_supersingular)
+from .zeta import (count_points, genus_and_degree,
+                   powersum_additivity_check, verify_supersingular)
 
 
 def _budget(args):
@@ -137,13 +137,14 @@ def cmd_count(args):
 def cmd_lpoly(args):
     budget = _budget(args)
     curve = jsonio.load_curve(args.curvefile, budget.max_degree)
-    report = verify_supersingular(curve, budget)
-    if report.genus and report.lpoly is None:
+    genus, N = genus_and_degree(curve)
+    if genus and not budget.fits_points(N * (genus + 2)):   # ladder rung (a)
         raise BudgetError("curve is too large to count directly; "
                           "use verify for the piecewise ladder")
-    coeffs = list(report.lpoly.coeffs) if report.genus else [1]  # rational
-    doc = {"genus": report.genus, "lpoly": [str(c) for c in coeffs]}
-    _emit(args, doc, ["genus %d" % report.genus, "L = %s" % coeffs])
+    report = verify_supersingular(curve, budget)
+    coeffs = list(report.lpoly.coeffs) if genus else [1]  # rational
+    doc = {"genus": genus, "lpoly": [str(c) for c in coeffs]}
+    _emit(args, doc, ["genus %d" % genus, "L = %s" % coeffs])
     return 0
 
 

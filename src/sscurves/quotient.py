@@ -1,18 +1,17 @@
 """Degree-2 quotients of a single-equation curve and its jacobian pieces.
 
-For C : S(y) = T(x) with S 2-linearized of 2-degree n, the index-2 subgroups
-of the translation group {y -> y + sigma : S(sigma) = 0} are parametrized by
-the nonzero solutions alpha of the linearized dual equation
-
-    A_0^(2^(n-1)) a^(2^n) + A_1^(2^(n-2)) a^(2^(n-1)) + ... + A_{n-1} a^2 + a = 0.
-
-Each alpha yields a quotient curve w^2 + w = sum_k alpha^(2^(n-k)) x R_k(x),
-and the jacobian of C splits up to isogeny into the jacobians of these
-quotients.  The curve is irreducible exactly when no nonzero alpha kills the
-combined right-hand side.  That right-hand side, and its Artin-Schreier
-reduction, are F_2-linear in alpha, so the quotients' right-hand sides form
-the F_2-span of the n quotients of a basis, just as a fibre product's
-combinations span its components.
+For C : S(y) = T(x), S = sum_i A_i y^(2^i) of 2-degree n, the index-2
+subgroups of the translations y -> y + sigma, S(sigma) = 0, give the
+quotients w^2 + w = beta T, beta nonzero in the kernel of the trace adjoint
+S*(beta) = sum_i (A_i beta)^(2^-i).  With beta = alpha^(2^(n-1)), the
+alphas are the roots of the dual equation, whose coefficient at a^(2^i) is
+A_(n-i)^(2^(i+1-n)) (its 2^(n-1)-th power is S*(beta)^(2^n)), and beta T is
+Artin-Schreier equivalent to sum_k alpha^(2^(n-k)) x R_k(x).  The jacobian
+of C splits up to isogeny into the jacobians of these quotients.  The curve
+is irreducible exactly when no nonzero alpha kills that right-hand side.
+It and its Artin-Schreier reduction are F_2-linear in alpha, so the
+quotients' right-hand sides form the F_2-span of the n quotients of a
+basis, just as a fibre product's combinations span its components.
 """
 
 from dataclasses import dataclass
@@ -68,13 +67,16 @@ class QuotientCurve:
 
 
 def dual_equation(c):
-    """The linearized equation satisfied by the quotient parameters of c."""
+    """The linearized equation of the alpha space of c (see the module doc)."""
     F = c.field
     n = c.n
-    coeffs = [1] * (n + 1)
-    for i in range(1, n + 1):
-        coeffs[i] = F.frobenius(c.S.coeff(n - i), i - 1)
-    return lin(F, coeffs)
+    return lin(F, [F.frobenius(c.S.coeff(n - i), i + 1 - n)
+                   for i in range(n + 1)])
+
+
+def column_poly(c, e):
+    """P_e(alpha) = sum_k c_(k,e) alpha^(2^(n-k)): R_alpha's x^(2^e) coefficient."""
+    return lin(c.field, [R.coeff(e) for R in reversed(c.R_list)])
 
 
 def solve_alpha_space(c, max_degree=DEFAULT_MAX_DEGREE):
@@ -94,8 +96,10 @@ def split(S, beta):
 
     Comparing coefficients gives B_0 = A_0/beta and
     B_i = (A_i + B_{i-1}^2)/beta, with the final compatibility condition
-    B_{n-2}^2 + beta = A_{n-1}.  It succeeds exactly when 1/beta is a
-    nonzero member of the alpha space of S.
+    B_{n-2}^2 + beta = A_{n-1}.  It succeeds exactly when
+    beta = 1/alpha^(2^(n-2)) for a nonzero alpha in the alpha space of S.
+    Over F_2 that space is closed under squaring, so the admissible betas
+    are the 1/alpha.
     """
     if beta == 0:
         raise ValueError("beta must be nonzero")
@@ -125,15 +129,10 @@ def split(S, beta):
 
 def combined_rhs_poly(c, alpha, space):
     """The linearized polynomial R_alpha = sum_k alpha^(2^(n-k)) R_k over the ambient."""
-    amb = space.ambient
-    n = c.n
-    acc = lin(amb, [])
-    for k, R in enumerate(c.R_list, start=1):
-        if R.is_zero():
-            continue
-        coef = amb.frobenius(alpha, n - k)
-        acc = lin_add(acc, lin_scale(coef, R.map_field(space.embedding)))
-    return acc
+    width = max(len(R.coeffs) for R in c.R_list)
+    return lin(space.ambient,
+               [lin_eval(column_poly(c, e).map_field(space.embedding), alpha)
+                for e in range(width)])
 
 
 def quotient_curve(c, alpha, space=None, max_degree=DEFAULT_MAX_DEGREE):

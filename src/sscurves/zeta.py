@@ -3,7 +3,7 @@
 ``count_points`` turns a curve into one count: a CurveSpec or a
 FibreProductSpec is checked for irreducibility, then its field size
 against the budget, and then becomes right-hand sides f_j with 2^w points
-over x when all Tr f_j(x) vanish (a fibre product's components, or alpha T
+over x when all Tr f_j(x) vanish (a fibre product's components, or beta T
 over a basis of the kernel of the trace adjoint of S in S(y) = T(x));
 ``count_artin_schreier`` counts one right-hand side.  Every right-hand
 side built here is a sum of terms c x^e whose exponents have binary weight
@@ -44,7 +44,7 @@ from .field import _xor_rows, extend_and_embed
 from .linops import (as_genus, as_reduce, definition_field, lin, lin_images,
                      lin_kernel)
 from .limits import DEFAULT_BUDGET, CapacityError
-from .quotient import QuotientCurve, decomposition, is_irreducible
+from .quotient import QuotientCurve, decomposition, dual_equation, is_irreducible
 
 
 class InconsistentCounts(ValueError):
@@ -108,15 +108,15 @@ def count_points(curve, k, budget=DEFAULT_BUDGET):
     ext, emb = extend_and_embed(F, k)
     if isinstance(curve, FibreProductSpec):
         return _count(ext, [f.map_field(emb).terms for f in curve.components])
-    # #{y : S(y) = t} is 2^w if Tr(alpha t) = 0 on the w-dimensional kernel
-    # of the trace adjoint S*(alpha) = sum_i (A_i alpha)^(2^-i), else 0: the
-    # fibre product of the alpha T over a kernel basis.  S*(alpha)^(2^n) is
-    # linearized over the base field with coefficients A_(n-i)^(2^i).
-    n = curve.n
-    adjoint = lin(F, [F.frobenius(curve.S.coeff(n - i), i) for i in range(n + 1)])
+    # #{y : S(y) = t} is 2^w if Tr(beta t) = 0 on the w-dimensional kernel
+    # of the trace adjoint S*(beta) = sum_i (A_i beta)^(2^-i), else 0: the
+    # fibre product of the beta T over a kernel basis.  That kernel is the
+    # alpha^(2^(n-1)), alpha in the kernel of the dual equation.
     terms = curve.derived_T().map_field(emb).terms
-    return _count(ext, [[(e, ext.mul(alpha, t)) for e, t in terms]
-                        for alpha in lin_kernel(adjoint, ext, emb)])
+    betas = [ext.frobenius(a, curve.n - 1)
+             for a in lin_kernel(dual_equation(curve), ext, emb)]
+    return _count(ext, [[(e, ext.mul(beta, t)) for e, t in terms]
+                        for beta in betas])
 
 
 def count_artin_schreier(rhs, k, budget=DEFAULT_BUDGET):
@@ -442,7 +442,7 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET):
     (c) If even the splitting field is out of capacity, certify stratum by
         stratum from the curve's strata.
     """
-    genus, N = _genus_and_degree(curve)
+    genus, N = genus_and_degree(curve)
     report = VerificationReport(genus=genus, supersingular=True)
 
     if genus == 0:
@@ -515,7 +515,8 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET):
     return report
 
 
-def _genus_and_degree(curve):
+def genus_and_degree(curve):
+    """(genus, degree of the base field); ValueError if the curve is reducible."""
     _check_irreducible(curve)
     return (sum(c * gp for c, gp in stratum_rows(curve.strata)),
             curve.field.degree)

@@ -499,3 +499,49 @@ def test_additivity_skipped_past_max_degree(capsys):
     doc = json.loads(out)
     assert rc == 0 and doc["supersingular"] == "certified"
     assert doc["checks"]["powersum_additivity"] == "skipped (budget)"
+
+
+def test_hand_written_files_with_s_outside_f2(capsys, tmp_path):
+    # y^8 + a y^4 + y = ... over F_4: its counts over F_4^12 and F_4^14 are
+    # those of L = 1 + 4096 T^12; it used to verify as genus 7, with only
+    # the additivity check objecting, and lpoly printed a degree-14 L
+    g6 = os.path.join(FIXTURES, "g6_f4.json")
+    assert run_full(capsys, "verify", g6) == (
+        0, "genus 6\nsupersingular: true\nchecks: "
+           '{"weil_bounds": true, "functional_equation_predictions": true, '
+           '"lpoly_degree": true, "irreducible": true, '
+           '"powersum_additivity": true}\n', "")
+    assert run_full(capsys, "lpoly", g6) == (
+        0, "genus 6\nL = %s\n" % ([1] + [0] * 11 + [4096]), "")
+    # counts 17, 129, 1025, 8193 = 2 * 8^k + 1 over F_8: two components,
+    # once verified as an irreducible curve of genus 0
+    doc = {"format": "curve", "kind": "single",
+           "field": {"degree": 3, "modulus": "0xb"},
+           "S": ["0x6", "0x0", "0x2", "0x1"],
+           "R": [["0x5"], ["0x4"], ["0x1"]], "metadata": {}}
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps(doc))
+    assert run_full(capsys, "verify", str(path)) == (
+        1, "FAIL: curve is reducible\n", "")
+    for argv in (["lpoly"], ["count", "--ext", "2"]):
+        assert run_full(capsys, argv[0], str(path), *argv[1:]) == (
+            2, "", "error: curve is reducible\n"), argv
+
+
+def test_lpoly_refuses_before_the_ladder(capsys, tmp_path, monkeypatch):
+    # a curve too large to count directly is refused before any quotient
+    # piece is built; x^8193 + x^7 once got the ladder's "no certifiable
+    # shape" message for its one piece instead
+    from sscurves import zeta
+    built = []
+    pieces = zeta._pieces
+    monkeypatch.setattr(zeta, "_pieces",
+                        lambda *a: built.append(a) or pieces(*a))
+    message = ("capacity/budget error: curve is too large to count directly; "
+               "use verify for the piecewise ladder\n")
+    for path, argv in (
+            (os.path.join(FIXTURES, "g221_f2.json"), ["--budget-log2", "8"]),
+            (fibre_file(tmp_path, "plain.json", [[8193]]), []),
+            (fibre_file(tmp_path, "x7.json", [[8193, 7]]), [])):
+        assert run_full(capsys, "lpoly", path, *argv) == (3, "", message)
+    assert built == []

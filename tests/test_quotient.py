@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from collections import Counter
 
@@ -6,16 +8,21 @@ import pytest
 from sscurves.builder import CurveSpec, build_prime_field, glue_single_block, \
     build_components, stratum_rows
 from sscurves.decomp import decompose
-from sscurves.field import _xor_rows, embedding_into, make_field, pgcd
+from sscurves.field import (_xor_rows, embedding_into, extend_and_embed,
+                            make_field, pgcd)
+from sscurves.jsonio import load_curve
 from sscurves.limits import CapacityError
 from sscurves.linops import (as_reduce, lin, lin_add, lin_eval, lin_kernel,
-                             lin_scale, lin_twist)
+                             lin_scale, lin_twist, sparse_scale,
+                             splitting_degree)
 from sscurves.quotient import (decomposition, dual_equation, is_irreducible,
                                quotient_curve, solve_alpha_space, split)
 
 F2 = make_field(1)
 F4 = make_field(2)
+F8 = make_field(3)
 F16 = make_field(4)
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def span(basis):
@@ -47,6 +54,15 @@ def test_dual_equation_coefficients():
     S = lin(F16, [2, 4, 1])
     eq = dual_equation(CurveSpec(F16, S, (lin(F16, [0, 1]), lin(F16, []))))
     assert eq.coeffs == (1, 4, F16.sqr(2))
+    # the coefficient of a^(2^i) is A_(n-i)^(2^(i+1-n)).  n = 1, A_0 = a:
+    # A_0^2 a^2 + a
+    eq = dual_equation(CurveSpec(F16, lin(F16, [2, 1]), (lin(F16, [0, 1]),)))
+    assert eq.coeffs == (1, F16.sqr(2))
+    # n = 3, A_0 = a, A_1 = a^2, A_2 = a^3:
+    # A_0^2 a^8 + A_1 a^4 + sqrt(A_2) a^2 + a
+    S = lin(F16, [2, 4, 8, 1])
+    eq = dual_equation(CurveSpec(F16, S, (lin(F16, [0, 1]),) * 3))
+    assert eq.coeffs == (1, F16.sqrt(8), 4, F16.sqr(2))
 
 
 def test_split_examples():
@@ -62,23 +78,28 @@ def test_split_examples():
 
 
 def test_split_exact_beta_correspondence():
-    # split succeeds exactly for beta = 1/alpha, alpha in A - {0}
-    c = build_prime_field(decompose(5))      # S = y^4+y, A = F_4
-    space = solve_alpha_space(c)
-    emb = embedding_into(F2, space.ambient)
-    S_ext = c.S.map_field(emb)
-    expected = {space.ambient.inv(a) for a in space.members()}
-    good = set()
-    for beta in range(1, space.ambient.order):
-        try:
-            sd = split(S_ext, beta)
-        except ValueError:
-            continue
-        good.add(beta)
-        # polynomial identity B^2 + beta B = S
-        assert lin_add(lin_twist(sd.B, 1),
-                       lin_scale(beta, sd.B)).coeffs == S_ext.coeffs
-    assert good == expected
+    # split succeeds exactly for beta = 1/alpha^(2^(n-2)), alpha in A - {0}:
+    # 1/alpha for S = y^4+y (A = F_4), but not for S outside F_2 with n != 2
+    for S in (build_prime_field(decompose(5)).S, lin(F4, [2, 1]),
+              lin(F4, [2, 3, 0, 1]), lin(F8, [3, 0, 5, 1])):
+        n = S.h
+        c = CurveSpec(S.field, S, (lin(S.field, [0, 1]),) * n)
+        space = solve_alpha_space(c)
+        F = space.ambient
+        S_ext = S.map_field(space.embedding)
+        expected = {F.inv(F.frobenius(a, n - 2)) for a in space.members()}
+        assert (expected == {F.inv(a) for a in space.members()}) == (n == 2)
+        good = set()
+        for beta in range(1, F.order):
+            try:
+                sd = split(S_ext, beta)
+            except ValueError:
+                continue
+            good.add(beta)
+            # polynomial identity B^2 + beta B = S
+            assert lin_add(lin_twist(sd.B, 1),
+                           lin_scale(beta, sd.B)).coeffs == S_ext.coeffs
+        assert good == expected, S
 
 
 def test_split_invariance_kernel():
@@ -178,12 +199,26 @@ def test_is_irreducible_matches_ordinary_oracle():
     assert verdicts[True] and verdicts[False], verdicts     # 290 and 10
 
 
+def trace_adjoint_pieces(c):
+    """Oracle: the reduced beta T, beta over the nonzero kernel of the trace
+    adjoint S*(beta) = sum_i (A_i beta)^(2^-i), built from S alone:
+    S*(beta)^(2^n) has the coefficient A_(n-i)^(2^i) at beta^(2^i)."""
+    F, n = c.field, c.n
+    adjoint = lin(F, [F.frobenius(c.S.coeff(n - i), i) for i in range(n + 1)])
+    ext, emb = extend_and_embed(F, splitting_degree(adjoint))
+    T = c.derived_T().map_field(emb)
+    return [as_reduce(sparse_scale(beta, T))
+            for beta in span(lin_kernel(adjoint, ext, emb)) if beta]
+
+
 def test_strata_match_decomposition_genera():
-    # random irreducible curves over F_2..F_8, columns 0..3: a column-0
-    # entry gives quotients of genus 0 (x * a x = a x^2 reduces to x)
+    # random curves over F_2..F_8, columns 0..3: a column-0 entry gives
+    # quotients of genus 0 (x * a x = a x^2 reduces to x).  The irreducible
+    # ones have strata, quotients and genera matching the pieces beta T of
+    # the trace adjoint, and so do the reducible verdicts.
     rng = random.Random(10)
     genera = Counter()
-    checked = 0
+    checked = outside_f2 = 0
     while checked < 150:
         F = make_field(rng.randrange(1, 4))
         n = rng.randrange(1, 5)
@@ -193,16 +228,44 @@ def test_strata_match_decomposition_genera():
                                for _ in range(rng.randrange(1, 5))])
                        for _ in range(n))
         c = CurveSpec(F, S, R_list)
-        if all(R.is_zero() for R in R_list) or not is_irreducible(c):
+        if all(R.is_zero() for R in R_list):
             continue
-        expected = Counter(p.genus for p in decomposition(c))
+        oracle = trace_adjoint_pieces(c)
+        irreducible = all(f.degree > 0 for f in oracle)
+        assert is_irreducible(c) == irreducible, c
+        if not irreducible:
+            continue
+        pieces = decomposition(c)
+        assert sorted(p.rhs.terms for p in pieces) == sorted(
+            f.terms for f in oracle), c
+        expected = Counter(p.genus for p in pieces)
+        assert expected == Counter((f.degree - 1) // 2 if f.degree else 0
+                                   for f in oracle), c
         got = Counter()
         for count, genus in stratum_rows(c.strata):
             got[genus] += count
         assert got == expected, (S, R_list)
         genera.update(expected)
         checked += 1
+        outside_f2 += n != 2 and any(a > 1 for a in S.coeffs)
     assert genera[0] and genera[1] and genera[4], genera
+    assert outside_f2 >= 30, outside_f2
+
+
+def test_g6_fixture_quotients_match_trace_adjoint():
+    # the golden quotients of the hand-written genus-6 file over F_4 (S not
+    # over F_2, n = 3) are the pieces beta T of the trace adjoint
+    c = load_curve(os.path.join(FIXTURES, "g6_f4.json"))
+    with open(os.path.join(FIXTURES, "expected", "g6_f4.quotients.json")) as fh:
+        golden = json.load(fh)
+    got = sorted((p["genus"], [(t["exp"], int(t["coeff"], 16))
+                               for t in p["rhs"]["terms"]]) for p in golden)
+    oracle = trace_adjoint_pieces(c)
+    assert got == sorted(((f.degree - 1) // 2 if f.degree else 0,
+                          list(f.terms)) for f in oracle)
+    assert sum(genus for genus, _ in got) == 6
+    assert [(int(p["alpha"], 16), p["genus"]) for p in golden] == [
+        (p.alpha, p.genus) for p in decomposition(c)]
 
 
 def test_decomposition_sums():

@@ -111,6 +111,19 @@ def test_count_single_equation_matches_fibre_product():
         assert count_points(spec, k) == count_points(glued, k)
 
 
+def random_curve(rng, F, max_n):
+    """A seeded single equation over F with S not over F_2, n <= max_n."""
+    n = rng.randrange(1, max_n + 1)
+    S = lin(F, [rng.randrange(2, F.order)]
+            + [rng.randrange(F.order) for _ in range(n - 1)] + [1])
+    R_list = [lin(F, [rng.randrange(F.order)
+                      for _ in range(rng.randrange(1, 4))])
+              for _ in range(n)]
+    if all(R.is_zero() for R in R_list):
+        R_list[0] = lin(F, [0, 1])
+    return CurveSpec(F, S, tuple(R_list))
+
+
 def test_count_single_against_brute_oracle():
     # the linear-algebra fibre counting agrees with the double loop,
     # including over fields where S does not split completely
@@ -125,6 +138,20 @@ def test_count_single_against_brute_oracle():
             assert count_points(c, k) == brute, (g, k)
     glued = glue_single_block(build_components(decompose(30)))
     assert count_points(glued, 1) == brute_count_single(glued.field, glued)
+    # S outside F_2 over F_4 and F_8, n = 1..3, up to 64 field elements
+    rng = random.Random(14)
+    checked = 0
+    while checked < 20:
+        c = random_curve(rng, make_field(rng.randrange(2, 4)), 3)
+        if not is_irreducible(c):
+            continue
+        for k in range(1, 6 // c.field.degree + 1):
+            ext, emb = extend_and_embed(c.field, k)
+            brute = brute_count_single(ext, CurveSpec(
+                ext, c.S.map_field(emb),
+                tuple(R.map_field(emb) for R in c.R_list)))
+            assert count_points(c, k) == brute, (c, k)
+        checked += 1
 
 
 def test_count_fibre_against_brute_oracle():
@@ -461,6 +488,20 @@ def test_powersum_additivity():
         assert powersum_additivity_check(build_prime_field(decompose(g)), 2, B16)
     spec5 = build_components(decompose(5))
     assert powersum_additivity_check(spec5, 2, B16)
+    # S not over F_2 with n = 1..3: the curve and the pieces of its alpha
+    # space count alike only when that space is the trace adjoint's
+    rng = random.Random(41)
+    budget = Budget(20, 64)
+    checked = 0
+    while checked < 40:
+        c = random_curve(rng, make_field(rng.randrange(2, 5)), 3)
+        if not is_irreducible(c):
+            continue
+        try:
+            assert powersum_additivity_check(c, 2, budget), c
+        except (BudgetError, CapacityError):
+            continue
+        checked += 1
 
 
 def test_powersum_additivity_edges():

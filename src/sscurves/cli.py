@@ -25,15 +25,18 @@ from .zeta import (count_points, genus_and_degree,
 
 
 def _budget(args):
-    log2 = args.budget_log2
-    if log2 is None:
-        log2 = int(os.environ.get("SSCURVES_BUDGET_LOG2",
-                                  DEFAULT_LOG2_POINTS))
-    maxdeg = args.max_degree
-    if maxdeg is None:
-        maxdeg = int(os.environ.get("SSCURVES_MAX_DEGREE",
-                                    DEFAULT_MAX_DEGREE))
-    return Budget(log2_points=log2, max_degree=maxdeg)
+    """The bounds from the flags, else the environment, else the defaults."""
+    bounds = []
+    for value, name, default in (
+            (args.budget_log2, "SSCURVES_BUDGET_LOG2", DEFAULT_LOG2_POINTS),
+            (args.max_degree, "SSCURVES_MAX_DEGREE", DEFAULT_MAX_DEGREE)):
+        if value is None:
+            try:
+                value = _positive(os.environ.get(name, str(default)))
+            except argparse.ArgumentTypeError as ex:
+                raise ValueError("%s: %s" % (name, ex))
+        bounds.append(value)
+    return Budget(*bounds)
 
 
 def _positive(text):
@@ -245,10 +248,10 @@ def build_parser():
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output only")
-        p.add_argument("--budget-log2", type=int, default=None,
+        p.add_argument("--budget-log2", type=_positive, default=None,
                        help="log2 of the largest field a point count may "
                             "run over (default %d)" % DEFAULT_LOG2_POINTS)
-        p.add_argument("--max-degree", type=int, default=None,
+        p.add_argument("--max-degree", type=_positive, default=None,
                        help="largest ambient field degree (default %d)"
                             % DEFAULT_MAX_DEGREE)
 

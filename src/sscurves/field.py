@@ -10,15 +10,20 @@ fields stand in for the algebraic closure at finite level).  Construction
 is deterministic: degree N always gets the irreducible modulus with the
 smallest bit pattern, so serialized artifacts are reproducible.
 
-Squaring is F_2-linear, so ``sqr`` reads one 256-entry table per input byte
-(ceil(N/8) tables, built once per field by xor from the basis squares
-x^(2i) mod the modulus) and xors the looked-up rows; Frobenius powers,
-square roots, traces and powers all square this way.  Roots of a
+Multiplication is shift-and-add with one reduction step per bit, at every
+degree.  Squaring is F_2-linear, so ``sqr`` reads one 256-entry table per
+input byte (ceil(N/8) tables, built once per field by xor from the basis
+squares x^(2i) mod the modulus) and xors the looked-up rows; Frobenius
+powers, square roots, traces and powers all square this way.  Roots of a
 polynomial that splits into distinct roots are found by trace splitting
 at every field order.  The embedding of a subfield sends its generator to
 the smallest root of its modulus in the extension: an irreducible modulus
 of degree d splits into d distinct roots in every extension of degree
 divisible by d, so it goes to trace splitting without the split test.
+
+Fields of degree at most 20 build exp/log tables on request
+(``ensure_tables``, read through ``tables``); they are the discrete-log
+data of ``render`` and no arithmetic here reads them.
 """
 
 from operator import xor
@@ -79,11 +84,6 @@ class BinaryField:
         return a ^ b
 
     def mul(self, a, b):
-        log = self._log
-        if log is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(log[a] + log[b]) % (self.order - 1)]
         m, top = self.modulus, self._top
         r = 0
         while b:

@@ -5,6 +5,11 @@ is xor and multiplication by x is a left shift.  This keeps the hot loops
 (irreducibility tests of field moduli) inside CPython's bignum layer where
 they run on machine words.
 
+Moduli are tested by Ben-Or's test: f of degree n is irreducible iff
+gcd(x^(2^i) - x, f) = 1 for every i <= n/2, since x^(2^i) - x is the
+product of the irreducibles of degree dividing i and a reducible f has a
+factor of degree at most n/2.  Most candidates fail after a few squarings.
+
 The module also factors integers (``factorize``), for the orders 2^n - 1
 of multiplicative groups.
 """
@@ -85,14 +90,6 @@ def sqrmod(a, m):
     return mod(sqr(a), m)
 
 
-def frob_power_mod(k, m):
-    """x^(2^k) reduced modulo m."""
-    t = mod(2, m)
-    for _ in range(k):
-        t = sqrmod(t, m)
-    return t
-
-
 # Trial division runs up to this bound before Pollard's rho takes over.
 _TRIAL_BOUND = 1 << 10
 
@@ -171,18 +168,14 @@ def _rho(n):
 
 
 def is_irreducible(f):
-    """Rabin irreducibility test for f over GF(2)."""
+    """Ben-Or's irreducibility test for f over GF(2) (see the module doc)."""
     n = degree(f)
     if n <= 0:
         return False
-    if n == 1:
-        return True
-    if f & 1 == 0:  # divisible by x
-        return False
-    if frob_power_mod(n, f) != mod(2, f):
-        return False
-    for p, _ in factorize(n):
-        if gcd(frob_power_mod(n // p, f) ^ 2, f) != 1:
+    t = mod(2, f)
+    for _ in range(n // 2):
+        t = sqrmod(t, f)
+        if gcd(t ^ 2, f) != 1:
             return False
     return True
 

@@ -1,10 +1,12 @@
-"""Capacity and enumeration budgets shared across the library.
+"""Capacity and point-count budgets shared across the library.
 
 All expensive operations (field construction, splitting-field searches,
 point counting) are bounded so that a bad input fails fast instead of
-grinding.  The defaults are sized for desk-scale experiments and can be
-overridden per call or through the environment (see the command line
-driver).
+grinding.  ``max_degree`` bounds the degree of the ambient fields a
+computation builds, and a point count over F_2^n runs only when n is
+within both ``log2_points`` and ``max_degree``.  The defaults are sized for desk-scale experiments and
+can be overridden per call or through the environment (see the command
+line driver).
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ class CapacityError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """A requested enumeration exceeds the point budget."""
+    """A requested point count exceeds the budget."""
 
 
 @dataclass(frozen=True)
@@ -31,15 +33,15 @@ class Budget:
     log2_points: int = DEFAULT_LOG2_POINTS
     max_degree: int = DEFAULT_MAX_DEGREE
 
-    def check_points(self, log2_count):
-        if log2_count > self.log2_points:
+    def check_points(self, degree):
+        if not self.fits_points(degree):
             raise BudgetError(
-                "enumeration of 2^%d points exceeds budget 2^%d"
-                % (log2_count, self.log2_points)
-            )
+                "count field F_2^%d exceeds the budget 2^%d or the degree "
+                "bound %d" % (degree, self.log2_points, self.max_degree))
 
-    def fits_points(self, log2_count):
-        return log2_count <= self.log2_points
+    def fits_points(self, degree):
+        """Whether a point count may run over F_2^degree."""
+        return degree <= min(self.log2_points, self.max_degree)
 
 
 DEFAULT_BUDGET = Budget()

@@ -135,10 +135,8 @@ def combined_rhs_poly(c, alpha, space):
                 for e in range(width)])
 
 
-def quotient_curve(c, alpha, space=None, max_degree=DEFAULT_MAX_DEGREE):
+def quotient_curve(c, alpha, space):
     """The quotient w^2 + w = sum_k alpha^(2^(n-k)) x R_k attached to alpha."""
-    if space is None:
-        space = solve_alpha_space(c, max_degree=max_degree)
     if alpha == 0 or not space.contains(alpha):
         raise ValueError("alpha must be a nonzero member of the alpha space")
     rhs = as_reduce(times_x(combined_rhs_poly(c, alpha, space)))

@@ -115,7 +115,7 @@ def _bsgs(F, gamma, h, p):
     raise AssertionError("h is not a power of gamma")
 
 
-def sparse_text(f, var="x"):
+def sparse_text(f):
     if f.is_zero():
         return "0"
     parts = []
@@ -124,9 +124,9 @@ def sparse_text(f, var="x"):
         if e == 0:
             parts.append(cs[:-1] if cs else "1")
         elif e == 1:
-            parts.append(cs + var)
+            parts.append(cs + "x")
         else:
-            parts.append("%s%s^%d" % (cs, var, e))
+            parts.append("%sx^%d" % (cs, e))
     return "+".join(parts)
 
 

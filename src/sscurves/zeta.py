@@ -103,9 +103,7 @@ def count_points(curve, k, budget=DEFAULT_BUDGET):
     if isinstance(curve, QuotientCurve):
         return count_artin_schreier(curve.rhs, k, budget)
     _check_irreducible(curve)
-    F = curve.field
-    budget.check_points(F.degree * k)
-    ext, emb = extend_and_embed(F, k)
+    ext, emb = _extension(curve.field, k, budget)
     if isinstance(curve, FibreProductSpec):
         return _count(ext, [f.map_field(emb).terms for f in curve.components])
     # #{y : S(y) = t} is 2^w if Tr(beta t) = 0 on the w-dimensional kernel
@@ -125,10 +123,14 @@ def count_artin_schreier(rhs, k, budget=DEFAULT_BUDGET):
     if reduced.is_zero() or reduced.degree % 2 == 0:
         raise ValueError("reduced right-hand side must have odd degree "
                          "(one totally ramified place at infinity)")
-    F = rhs.field
-    budget.check_points(F.degree * k)
-    ext, emb = extend_and_embed(F, k)
+    ext, emb = _extension(rhs.field, k, budget)
     return _count(ext, [rhs.map_field(emb).terms])
+
+
+def _extension(F, k, budget):
+    """The degree-k extension of F a count runs over, within the budget."""
+    budget.check_points(F.degree * k)
+    return extend_and_embed(F, k, budget.max_degree)
 
 
 def _check_irreducible(curve):

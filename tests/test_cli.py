@@ -545,3 +545,92 @@ def test_lpoly_refuses_before_the_ladder(capsys, tmp_path, monkeypatch):
             (fibre_file(tmp_path, "x7.json", [[8193, 7]]), [])):
         assert run_full(capsys, "lpoly", path, *argv) == (3, "", message)
     assert built == []
+
+
+def test_counts_build_their_fields_under_max_degree(capsys, tmp_path,
+                                                    monkeypatch):
+    # count --ext 3 --max-degree 8 on a curve over F_32 counted over F_2^15
+    # and printed 34817, lpoly --max-degree 4 counted g5 up to F_2^7, and
+    # verify counted pieces and the additivity check past the bound
+    from sscurves import field
+    g5 = os.path.join(FIXTURES, "g5_f2.json")
+    g1000 = str(tmp_path / "g1000_f2m.json")
+    assert run(capsys, "construct", "--mode", "f2m", "1000",
+               "--out", g1000)[0] == 0
+    assert run_full(capsys, "count", g1000, "--ext", "3") == (0, "34817\n", "")
+    built = []
+    make_field = field.make_field
+
+    def spy(n, *args, **kwargs):
+        built.append(n)
+        return make_field(n, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "sscurves" or name.startswith("sscurves."))
+                and getattr(module, "make_field", None) is make_field):
+            monkeypatch.setattr(module, "make_field", spy)
+    refusal = ("capacity/budget error: count field F_2^15 exceeds the budget "
+               "2^24 or the degree bound 8\n")
+    too_large = ("capacity/budget error: curve is too large to count "
+                 "directly; use verify for the piecewise ladder\n")
+    for bound, argv, expected in (
+            (8, ("count", g1000, "--ext", "3"), (3, "", refusal)),
+            (4, ("lpoly", g5), (3, "", too_large)),
+            (8, ("verify", g1000, "--json"), None),
+            (4, ("verify", g5, "--json"), None)):
+        built.clear()
+        got = run_full(capsys, *argv, "--max-degree", str(bound))
+        assert all(n <= bound for n in built), (argv, built)
+        if expected is not None:
+            assert got == expected, argv
+            continue
+        rc, out, err = got
+        doc = json.loads(out)
+        assert rc == 0 and err == "" and doc["supersingular"] == "certified"
+        modes = [p["mode"] for p in doc["pieces"]]
+        if argv[1] == g5:
+            assert modes == ["numeric"] + ["certified-not-recounted"] * 2
+            assert doc["checks"]["powersum_additivity"] is True
+        else:
+            assert modes == ["certified-not-recounted"] * 63
+            assert doc["checks"]["powersum_additivity"] == "skipped (budget)"
+
+
+def test_count_above_degree_64_within_both_bounds(capsys):
+    # the count field is bounded by the two flags only; degree 64 was fixed
+    from sscurves.zeta import LPoly, predicted_count
+    g5 = os.path.join(FIXTURES, "g5_f2.json")
+    rc, out = run(capsys, "lpoly", g5, "--json")
+    L = LPoly(2, tuple(int(c) for c in json.loads(out)["lpoly"]))
+    assert run_full(capsys, "count", g5, "--ext", "70", "--budget-log2",
+                    "80", "--max-degree", "80") == (
+        0, "%d\n" % predicted_count(L, 70), "")
+    assert run_full(capsys, "count", g5, "--ext", "70", "--budget-log2",
+                    "80") == (
+        3, "", "capacity/budget error: count field F_2^70 exceeds the budget "
+               "2^80 or the degree bound 64\n")
+
+
+@pytest.mark.parametrize("flag, env", [
+    ("--budget-log2", "SSCURVES_BUDGET_LOG2"),
+    ("--max-degree", "SSCURVES_MAX_DEGREE")])
+def test_bounds_must_be_positive(capsys, monkeypatch, flag, env):
+    # verify --budget-log2 -5 counted nothing, certified every piece and
+    # exited 0; --max-degree 0 failed with "field degree 1 exceeds bound 0"
+    g5 = os.path.join(FIXTURES, "g5_f2.json")
+    monkeypatch.delenv("SSCURVES_BUDGET_LOG2", raising=False)
+    monkeypatch.delenv("SSCURVES_MAX_DEGREE", raising=False)
+    for value in ("0", "-5"):
+        with pytest.raises(SystemExit) as ex:
+            main(["verify", g5, flag, value])
+        assert ex.value.code == 2
+        assert ("argument %s: must be at least 1, got %s\n" % (flag, value)
+                in capsys.readouterr().err)
+        monkeypatch.setenv(env, value)
+        assert run_full(capsys, "verify", g5) == (
+            2, "", "error: %s: must be at least 1, got %s\n" % (env, value))
+    monkeypatch.setenv(env, "x")
+    assert run_full(capsys, "count", g5) == (
+        2, "", "error: %s: invalid int value: 'x'\n" % env)
+    # the flag wins over the environment
+    assert run_full(capsys, "count", g5, flag, "24") == (0, "3\n", "")

@@ -45,6 +45,17 @@ def test_gcd_divides_both():
         assert gf2x.mod(a, g) == 0 and gf2x.mod(b, g) == 0
 
 
+def rabin_irreducible(f):
+    """Oracle: Rabin's test.  f of degree n >= 1 is irreducible iff
+    x^(2^n) = x mod f and gcd(x^(2^(n/p)) - x, f) = 1 for every prime p | n."""
+    n = gf2x.degree(f)
+    powers = [gf2x.mod(2, f)]           # x^(2^k) mod f, k = 0..n
+    for _ in range(n):
+        powers.append(gf2x.sqrmod(powers[-1], f))
+    return n >= 1 and powers[n] == powers[0] and all(
+        gf2x.gcd(powers[n // p] ^ 2, f) == 1 for p, _ in gf2x.factorize(n))
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_irreducibility_against_oracle(n):
     for f in range(1 << n, 1 << (n + 1)):
@@ -65,6 +76,16 @@ def test_smallest_irreducible_is_minimal(n):
     assert gf2x.degree(f) == n and gf2x.is_irreducible(f)
     for g in range(1 << n, f):
         assert not gf2x.is_irreducible(g)
+
+
+def test_smallest_irreducible_against_rabin():
+    # the moduli of every field up to degree 130, as Rabin's test chose
+    # them; above degree 1 an even f is divisible by x
+    assert gf2x.smallest_irreducible(1) == 0b10
+    for n in range(2, 131):
+        f = next(f for f in range((1 << n) + 1, 1 << (n + 1), 2)
+                 if rabin_irreducible(f))
+        assert gf2x.smallest_irreducible(n) == f, n
 
 
 def test_frobenius_order():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sscurves import gf2x
 from sscurves.field import embedding_into, make_field, pmod, psqr, ptrim
 from sscurves.limits import CapacityError
 from sscurves.linops import (as_genus, as_reduce, lin, lin_add, lin_compose,
@@ -78,6 +79,14 @@ def test_lin_kernel():
     assert all(lin_eval(G2, m) == 0 for m in members)
 
 
+def frob_power_mod(k, m):
+    """x^(2^k) reduced modulo m."""
+    t = gf2x.mod(2, m)
+    for _ in range(k):
+        t = gf2x.sqrmod(t, m)
+    return t
+
+
 def test_splitting_degree():
     assert splitting_degree(lin(F2, [1, 1])) == 1
     assert splitting_degree(lin(F2, [1, 0, 1])) == 2       # x^4+x: roots F_4
@@ -86,10 +95,9 @@ def test_splitting_degree():
     with pytest.raises(ValueError):
         splitting_degree(lin(F2, [0, 1]))                  # inseparable
     # cross-check with gcd against x^(2^k)+x for k < 6
-    from sscurves import gf2x
     f = (1 << 16) | (1 << 8) | (1 << 2) | (1 << 1)
     for k in range(1, 6):
-        sub = gf2x.frob_power_mod(k, f) ^ gf2x.mod(2, f)
+        sub = frob_power_mod(k, f) ^ gf2x.mod(2, f)
         assert gf2x.degree(gf2x.gcd(f, sub)) < 16
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .field import BinaryField, _echelonize, f2_span, make_field
+from .limits import DEFAULT_MAX_DEGREE
 from .linops import (LinPoly, SparsePoly, as_reduce, lin, lin_add,
                      lin_monomial, lin_rmod, lin_twist, sparse, sparse_add,
                      sparse_scale, sparse_twist, times_x)
@@ -123,13 +124,14 @@ def stratum_certificate(d):
     return GenusCertificate(rows, total)
 
 
-def build_components(d):
+def build_components(d, max_degree=DEFAULT_MAX_DEGREE):
     """Fibre-product components for the decomposition d, over F_{2^m}.
 
     Block i contributes gamma^j x^(2^(u_i)+1) for j = 0..r_i; the powers
-    gamma^0..gamma^(r_i) are F_2-independent because r_i < m.
+    gamma^0..gamma^(r_i) are F_2-independent because r_i < m.  An m beyond
+    max_degree raises CapacityError.
     """
-    F = make_field(d.m)
+    F = make_field(d.m, max_degree)
     gamma = F.generator
     components = []
     for (s, r), u in zip(d.blocks, d.u):

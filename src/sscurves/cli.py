@@ -80,6 +80,7 @@ def cmd_decompose(args):
 
 
 def cmd_construct(args):
+    budget = _budget(args)
     d = decompose(args.g)
     construction = {"g": args.g, "mode": args.mode, "glue": bool(args.glue)}
     if args.mode == "f2":
@@ -89,7 +90,7 @@ def cmd_construct(args):
         lines = [render.equation_text(curve)]
         lines += render.xr_table(curve)
     else:
-        spec = build_components(d)
+        spec = build_components(d, budget.max_degree)
         if args.glue:
             if d.t != 1:
                 raise ValueError("--glue needs a single-block genus "

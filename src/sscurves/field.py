@@ -16,16 +16,17 @@ input byte (ceil(N/8) tables, built once per field by xor from the basis
 squares x^(2i) mod the modulus) and xors the looked-up rows; Frobenius
 powers, square roots, traces and powers all square this way.  Roots of a
 polynomial that splits into distinct roots are found by trace splitting
-at every field order.  The embedding of a subfield sends its generator to
-the smallest root of its modulus in the extension: an irreducible modulus
-of degree d splits into d distinct roots in every extension of degree
-divisible by d, so it goes to trace splitting without the split test.
+at every field order.  The embedding of a degree-d subfield sends its
+generator to the smallest root of its modulus in the extension, found by
+splitting the modulus at degree d in the subfield that a relative trace
+generates, not in the extension.
 
 Fields of degree at most 20 build exp/log tables on request
 (``ensure_tables``, read through ``tables``); they are the discrete-log
 data of ``render`` and no arithmetic here reads them.
 """
 
+from itertools import accumulate, chain
 from operator import xor
 
 from . import gf2x
@@ -530,7 +531,7 @@ def embedding_into(base, ext):
     """Deterministic embedding of base into ext.
 
     base.degree must divide ext.degree; the base generator goes to the
-    smallest root of the base modulus in ext.
+    smallest root of the base modulus in ext (``_least_root``).
     """
     if base == ext:
         return identity_embedding(base)
@@ -539,18 +540,48 @@ def embedding_into(base, ext):
                          % (base.degree, ext.degree))
     key = (base.degree, base.modulus, ext.degree, ext.modulus)
     emb = _EMBED_CACHE.get(key)
-    if emb is not None:
-        return emb
-    if base.degree == 1:
-        emb = FieldEmbedding(base, ext, 1)
-    else:
-        # irreducible of degree d | n: monic and split into distinct roots
-        roots = []
-        _trace_split(ext, [(base.modulus >> i) & 1
-                           for i in range(base.degree + 1)], 1, roots)
-        emb = FieldEmbedding(base, ext, min(roots))
-    _EMBED_CACHE[key] = emb
+    if emb is None:
+        root = 1 if base.degree == 1 else _least_root(base, ext)
+        emb = _EMBED_CACHE[key] = FieldEmbedding(base, ext, root)
     return emb
+
+
+def _least_root(base, ext):
+    """The least root in ext of the irreducible base modulus f, of degree d.
+
+    The trace z = Tr_(ext/F_2^d)(w) is onto the degree-d subfield, so some
+    w (the basis, then all of ext in integer order) gives z with d distinct
+    conjugates.  Their product m_z is z's minimal polynomial over F_2; f
+    splits in F_2[y]/m_z, and its root s there is the root s(z) in ext,
+    whose d conjugates are all the roots of f in ext.
+    """
+    d, n = base.degree, ext.degree
+    for w in chain((1 << i for i in range(n)), range(1, ext.order)):
+        z = t = w
+        for _ in range(n // d - 1):
+            t = ext.frobenius(t, d)
+            z ^= t
+        conj = _conjugates(ext, z, d)
+        if len(set(conj)) == d:
+            break
+    mz = [1]
+    for c in conj:          # mz * (y + c)
+        mz = [a ^ ext.mul(c, b) for a, b in zip([0] + mz, mz + [0])]
+    assert all(c in (0, 1) for c in mz)
+    sub = BinaryField(d, sum(c << i for i, c in enumerate(mz)))
+    f = [(base.modulus >> i) & 1 for i in range(d + 1)]
+    s = poly_roots(sub, f)[0]
+    r = min(_conjugates(ext, FieldEmbedding(sub, ext, z)(s), d))
+    value = 0
+    for c in reversed(f):
+        value = ext.mul(value, r) ^ c
+    assert value == 0
+    return r
+
+
+def _conjugates(F, a, d):
+    """a, a^2, ..., a^(2^(d-1))."""
+    return list(accumulate(range(d - 1), lambda c, _: F.sqr(c), initial=a))
 
 
 def extend_and_embed(base, k, max_degree=DEFAULT_MAX_DEGREE):

@@ -16,10 +16,10 @@ operations, without visiting the 2^N field elements, and a count sums the
 forms of the F_2-span of the f_j.  The rows of the bilinear form are the
 basis images of a linearized polynomial, one power chain per coefficient
 (``lin_images``), read through the cached trace-dual matrix; coefficients
-reach the extension through embeddings found by trace splitting, and
-squarings read per-field byte tables.  Only an exponent of binary weight 3
-or more (a hand-written curve file, say) makes it enumerate the field
-instead.
+reach the extension through embeddings whose root is found in a subfield
+(``field.embedding_into``), and squarings read per-field byte tables.
+Only an exponent of binary weight 3 or more (a hand-written curve file,
+say) makes it enumerate the field instead.
 
 L-polynomial coefficients come from the counted power sums through the
 Newton identities and the functional equation, in exact integer

@@ -83,6 +83,17 @@ def test_fixture_stability(capsys):
             assert out == fh.read(), name
 
 
+@pytest.mark.parametrize("name", sorted(
+    f[:-len(".verify.json")]
+    for f in os.listdir(os.path.join(FIXTURES, "expected"))
+    if f.endswith(".verify.json")))
+def test_verify_output_is_pinned(capsys, name):
+    rc, out = run(capsys, "verify", "--json",
+                  os.path.join(FIXTURES, name + ".json"))
+    with open(os.path.join(FIXTURES, "expected", name + ".verify.json")) as fh:
+        assert (rc, out) == (0, fh.read())
+
+
 def test_output_determinism(capsys):
     rc1, out1 = run(capsys, "construct", "--mode", "f2m", "109", "--json")
     rc2, out2 = run(capsys, "construct", "--mode", "f2m", "109", "--json")
@@ -594,6 +605,20 @@ def test_counts_build_their_fields_under_max_degree(capsys, tmp_path,
         else:
             assert modes == ["certified-not-recounted"] * 63
             assert doc["checks"]["powersum_additivity"] == "skipped (budget)"
+
+
+def test_construct_builds_its_field_under_max_degree(capsys, tmp_path):
+    # construct --mode f2m 1000 --max-degree 2 wrote a curve over F_32
+    # that verify --max-degree 2 then refused
+    out = tmp_path / "g1000_f2m.json"
+    assert run_full(capsys, "construct", "--mode", "f2m", "1000",
+                    "--max-degree", "2", "--out", str(out)) == (
+        3, "", "capacity/budget error: field degree 5 exceeds bound 2\n")
+    assert not out.exists()
+    assert run(capsys, "construct", "--mode", "f2m", "1000",
+               "--max-degree", "5", "--out", str(out))[0] == 0
+    assert run(capsys, "construct", "--mode", "f2", "5",
+               "--max-degree", "1")[0] == 0
 
 
 def test_count_above_degree_64_within_both_bounds(capsys):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sscurves import gf2x
-from sscurves.field import (BinaryField, F2LinearMap, _xor_rows,
-                            embedding_into, extend_and_embed, f2_linear_solve,
+from sscurves.field import (BinaryField, F2LinearMap, _trace_split,
+                            _xor_rows, embedding_into, extend_and_embed, f2_linear_solve,
                             make_field, poly_roots)
 from sscurves.limits import CapacityError
 
@@ -287,3 +287,37 @@ def test_embedding_of_every_modulus(d, n):
             base = BinaryField(d, f)
             g = embedding_into(base, ext)(base.generator)
             assert g == scan_smallest_root(base, ext)
+
+
+def trace_split_root(base, ext):
+    """Oracle: the least root of base's modulus from a full trace split in ext."""
+    roots = []
+    _trace_split(ext, [(base.modulus >> i) & 1
+                       for i in range(base.degree + 1)], 1, roots)
+    return min(roots)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_embedding_root_matches_trace_split(d):
+    base = make_field(d)
+    for n in range(d, 49, d):
+        ext = make_field(n)
+        root = embedding_into(base, ext)(base.generator)
+        assert root == trace_split_root(base, ext), (d, n)
+
+
+@pytest.mark.parametrize("d", (4, 6))
+def test_embedding_of_every_modulus_is_a_homomorphism(d):
+    rng = random.Random(d)
+    for f in range(1 << d, 1 << (d + 1)):
+        if not gf2x.is_irreducible(f):
+            continue
+        base = BinaryField(d, f)
+        for n in (d, 2 * d, 3 * d):     # n = d: a non-canonical modulus
+            ext = make_field(n)
+            emb = embedding_into(base, ext)
+            assert emb(base.generator) == trace_split_root(base, ext)
+            for _ in range(20):
+                a, b = rng.randrange(base.order), rng.randrange(base.order)
+                assert emb(base.mul(a, b)) == ext.mul(emb(a), emb(b))
+                assert emb(a ^ b) == emb(a) ^ emb(b)

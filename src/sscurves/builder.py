@@ -22,7 +22,7 @@ from .field import BinaryField, _echelonize, f2_span, make_field
 from .limits import DEFAULT_MAX_DEGREE
 from .linops import (LinPoly, SparsePoly, as_reduce, lin, lin_add,
                      lin_monomial, lin_rmod, lin_twist, sparse, sparse_add,
-                     sparse_scale, sparse_twist, times_x)
+                     sparse_twist, times_x)
 from .quotient import column_poly, dual_equation
 
 
@@ -224,7 +224,8 @@ def glue_single_block(spec):
 
     With y = sum gamma^j y_j one gets S(y) = y^(2^m) + y and a right side
     T = sum_j gamma^j Tr(gamma^j x^(2^u + 1)) with Tr(z) = z + z^2 + ... +
-    z^(2^(m-1)); T is then re-expressed through ``to_standard_form``.
+    z^(2^(m-1)).  Grouped by l, T = sum_l c_l x^(2^l (2^u + 1)) with
+    c_l = sum_j gamma^(j (2^l + 1)), so R_(l+1) = c_l^(2^-l) x^(2^u).
     """
     if len(spec.strata) != 1:
         raise ValueError("gluing is defined for single-block products only")
@@ -233,22 +234,16 @@ def glue_single_block(spec):
     u, dim = spec.strata[0]
     if dim != m:
         raise ValueError("field degree must equal the block width")
-    gamma = F.generator
-    e = (1 << u) + 1
-    T = sparse(F, {})
-    c = 1
-    for _ in range(m):
-        z = sparse(F, {e: c})
-        tr = sparse(F, {})
-        for l in range(m):
-            tr = sparse_add(tr, sparse_twist(z, l))
-        T = sparse_add(T, sparse_scale(c, tr))
-        c = F.mul(c, gamma)
+    R_list = []
+    for l in range(m):
+        step = F.pow(F.generator, (1 << l) + 1)
+        c, v = 0, 1
+        for _ in range(m):
+            c ^= v
+            v = F.mul(v, step)
+        R_list.append(lin(F, [0] * u + [F.frobenius(c, -l)]))
     S = lin(F, [1] + [0] * (m - 1) + [1])
-    R_list = to_standard_form(T, m)
-    curve = CurveSpec(F, S, tuple(R_list)).validate()
-    assert curve.derived_T().terms == T.terms
-    return curve
+    return CurveSpec(F, S, tuple(R_list)).validate()
 
 
 def build_prime_field(d):

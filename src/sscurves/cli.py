@@ -195,10 +195,8 @@ def cmd_verify(args):
 
 
 def cmd_iso(args):
-    with open(args.first) as fh:
-        a = json.load(fh)
-    with open(args.second) as fh:
-        b = json.load(fh)
+    a = jsonio.load_object(args.first, "first operand")
+    b = jsonio.load_object(args.second, "second operand")
     budget = _budget(args)
     F = jsonio.field_from_json(a.get("field", {}), budget.max_degree)
     if F != jsonio.field_from_json(b.get("field", {}), budget.max_degree):
@@ -208,9 +206,8 @@ def cmd_iso(args):
         R2 = jsonio.linpoly_from_json(b.get("coeffs"), F)
         witness = curves_isomorphic(R, R2, max_degree=budget.max_degree)
     else:
-        L = [jsonio.linpoly_from_json(r, F) for r in a.get("basis", [])]
-        L2 = [jsonio.linpoly_from_json(r, F) for r in b.get("basis", [])]
-        witness = covers_isomorphic(L, L2, max_degree=budget.max_degree)
+        witness = covers_isomorphic(_basis(a, F), _basis(b, F),
+                                    max_degree=budget.max_degree)
     if witness is None:
         doc = {"isomorphic": False, "mode": args.mode}
         _emit(args, doc, ["not isomorphic"])
@@ -225,9 +222,15 @@ def cmd_iso(args):
     return 0
 
 
+def _basis(doc, F):
+    basis = doc.get("basis", [])
+    if not isinstance(basis, list):
+        raise ValueError("basis must be a list of linearized polynomials")
+    return [jsonio.linpoly_from_json(r, F) for r in basis]
+
+
 def cmd_radical(args):
-    with open(args.first) as fh:
-        a = json.load(fh)
+    a = jsonio.load_object(args.first, "operand")
     budget = _budget(args)
     F = jsonio.field_from_json(a.get("field", {}), budget.max_degree)
     R = jsonio.linpoly_from_json(a.get("coeffs"), F)

@@ -21,9 +21,10 @@ generator to the smallest root of its modulus in the extension, found by
 splitting the modulus at degree d in the subfield that a relative trace
 generates, not in the extension.
 
-Fields of degree at most 20 build exp/log tables on request
-(``ensure_tables``, read through ``tables``); they are the discrete-log
-data of ``render`` and no arithmetic here reads them.
+Fields of degree at most 20 build exp/log tables of the powers of x on
+request (``ensure_tables``, read through ``tables``); they are the
+discrete logs to base x that ``render`` prints, and no arithmetic here
+reads them.
 """
 
 from itertools import accumulate, chain
@@ -207,20 +208,23 @@ class BinaryField:
     # -- discrete exp/log tables -------------------------------------------
 
     def ensure_tables(self):
-        """Build exp/log tables for small fields; returns True when available."""
+        """Build the tables of x for small fields; returns True when available.
+
+        exp[e] = x^e for e < ord(x), and log[c] is the least such e, or
+        None for c outside <x>.
+        """
         if self._exp is not None:
             return True
         if self.degree > _TABLE_MAX_DEGREE:
             return False
-        q1 = self.order - 1
-        base = self.primitive()
-        exp = [1] * q1
-        log = [0] * self.order
+        order, _ = self.generator_order()
+        exp = [1] * order
+        log = [None] * self.order
         v = 1
-        for i in range(q1):
+        for i in range(order):
             exp[i] = v
             log[v] = i
-            v = self.mul(v, base)
+            v = self.mul(v, self.generator)
         self._exp, self._log = exp, log
         return True
 

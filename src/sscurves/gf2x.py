@@ -14,7 +14,6 @@ The module also factors integers (``factorize``), for the orders 2^n - 1
 of multiplicative groups.
 """
 
-from functools import lru_cache
 from itertools import count
 from math import gcd as gcd_int
 
@@ -63,20 +62,6 @@ def mod(a, m):
         a ^= m << (da - dm)
         da = degree(a)
     return a
-
-
-def divmod_(a, m):
-    """Quotient and remainder of a by nonzero m."""
-    if m == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    dm = degree(m)
-    q = 0
-    da = degree(a)
-    while da >= dm:
-        q ^= 1 << (da - dm)
-        a ^= m << (da - dm)
-        da = degree(a)
-    return q, a
 
 
 def gcd(a, b):
@@ -180,7 +165,6 @@ def is_irreducible(f):
     return True
 
 
-@lru_cache(maxsize=None)
 def smallest_irreducible(n):
     """The monic irreducible of degree n whose bit pattern is smallest.
 

@@ -122,12 +122,18 @@ def curve_from_json(doc, max_degree=DEFAULT_MAX_DEGREE):
 
 
 def load_curve(path, max_degree=DEFAULT_MAX_DEGREE):
+    return curve_from_json(load_object(path, "curve file"), max_degree)
+
+
+def load_object(path, what):
+    """The JSON object in the file at path; ValueError for anything else."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as ex:
             raise ValueError("not a JSON document: %s" % ex)
-    return curve_from_json(doc, max_degree)
+    _need(doc, what, ())
+    return doc
 
 
 def report_to_json(report):

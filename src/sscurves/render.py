@@ -7,23 +7,22 @@ carry no coefficient prefixes at all.
 
 The exponent of a coefficient c is its least discrete logarithm e to base
 a, found without walking the field.  Fields of degree at most 20 read it
-off the field's exp/log tables, whose base b need not be a: with
-L = log_b a and d = gcd(L, q - 1), c lies in the orbit of a iff d divides
-log_b c, and then e = (log_b c / d) (L / d)^-1 mod (q - 1) / d.  Larger
-fields run Pohlig-Hellman over the factorization of ord(a) (cached on the
-field), with baby-step giant-step for the digit at each prime.  The
-baby-step table of a prime depends on the prime alone, so a table of at
-most _MAX_CACHED_STEPS = 2^16 steps (p <= 2^32, every prime of ord(a) at
-degrees up to 64 that is not beyond the next bound) is built once and kept
-on the field for its lifetime (about 5 MB at p = 2^31 - 1, 7.5 MB at the
-cap); a larger one is rebuilt for each coefficient.  A prime that would need more than
-_MAX_BABY_STEPS = 2^20 baby steps (p > 2^40, which among degrees up to 64
-happens at 49, 59 and 61) has only digits below _SHORT_WALK = 2^12 found,
-by walking its powers; any other exponent there raises BudgetError (exit
-code 3) instead of grinding.
+off the field's log table, which holds the logs to base a (None outside
+the orbit of a).  Larger fields run Pohlig-Hellman over the factorization
+of ord(a) (cached on the field), with baby-step giant-step for the digit
+at each prime.  The baby-step table of a prime depends on the prime alone,
+so a table of at most _MAX_CACHED_STEPS = 2^16 steps (p <= 2^32, every
+prime of ord(a) at degrees up to 64 that is not beyond the next bound) is
+built once and kept on the field for its lifetime (about 5 MB at
+p = 2^31 - 1, 7.5 MB at the cap); a larger one is rebuilt for each
+coefficient.  A prime that would need more than _MAX_BABY_STEPS = 2^20
+baby steps (p > 2^40, which among degrees up to 64 happens at 49, 59 and
+61) has only digits below _SHORT_WALK = 2^12 found, by walking its powers;
+any other exponent there raises BudgetError (exit code 3) instead of
+grinding.
 """
 
-from math import gcd, isqrt
+from math import isqrt
 
 from .limits import BudgetError
 from .linops import times_x
@@ -54,14 +53,7 @@ def _dlog(F, c):
     if c == 0:
         return None
     if F.ensure_tables():
-        log = F.tables[1]
-        n = F.order - 1
-        base = log[F.generator]
-        d = gcd(base, n)
-        if log[c] % d:
-            return None
-        m = n // d
-        return log[c] // d * pow(base // d, -1, m) % m
+        return F.tables[1][c]
     return _pohlig_hellman(F, c)
 
 

@@ -10,7 +10,7 @@ from sscurves.builder import (FibreProductSpec, build_components,
 from sscurves.decomp import decompose
 from sscurves.field import _xor_rows, f2_span, make_field
 from sscurves.linops import (as_genus, as_reduce, lin, lin_add, sparse,
-                             sparse_add, times_x)
+                             sparse_add, sparse_scale, sparse_twist, times_x)
 from sscurves import jsonio
 
 F2 = make_field(1)
@@ -164,6 +164,20 @@ def test_glue_genus30():
         (0, 0, 1), (0, 0, F16.pow(A, 12))]
 
 
+def sparse_glue_oracle(spec):
+    """T = sum_j gamma^j Tr(gamma^j x^(2^u + 1)), term by term."""
+    F = spec.field
+    (u, _), = spec.strata
+    T = sparse(F, {})
+    c = 1
+    for _ in range(F.degree):
+        for l in range(F.degree):
+            T = sparse_add(T, sparse_scale(c, sparse_twist(
+                sparse(F, {(1 << u) + 1: c}), l)))
+        c = F.mul(c, F.generator)
+    return T
+
+
 def test_glue_genus30_oracle():
     # independent expansion: sum_j a^j * (a^(8j) x^40 + a^(4j) x^20 +
     #                                     a^(2j) x^10 + a^j x^5)
@@ -177,6 +191,13 @@ def test_glue_genus30_oracle():
         coeffs[5] ^= F.mul(aj, aj)
     glued = glue_single_block(build_components(decompose(30)))
     assert glued.derived_T().as_dict() == coeffs
+    # and every single-block genus below 200 against the sparse expansion
+    for g in range(1, 200):
+        d = decompose(g)
+        if d.t == 1:
+            spec = build_components(d)
+            glued = glue_single_block(spec)
+            assert glued.derived_T().terms == sparse_glue_oracle(spec).terms, g
 
 
 def test_glue_small():

@@ -94,6 +94,19 @@ def test_verify_output_is_pinned(capsys, name):
         assert (rc, out) == (0, fh.read())
 
 
+@pytest.mark.parametrize("name", sorted(
+    f[:-len(".quotients.txt")]
+    for f in os.listdir(os.path.join(FIXTURES, "expected"))
+    if f.endswith(".quotients.txt")))
+def test_quotients_output_is_pinned(capsys, name):
+    # the text output is the one that prints rendered coefficients
+    fixture = os.path.join(FIXTURES, name + ".json")
+    for argv, suffix in ((["quotients", fixture], ".quotients.txt"),
+                         (["quotients", "--json", fixture], ".quotients.json")):
+        with open(os.path.join(FIXTURES, "expected", name + suffix)) as fh:
+            assert run(capsys, *argv) == (0, fh.read()), suffix
+
+
 def test_output_determinism(capsys):
     rc1, out1 = run(capsys, "construct", "--mode", "f2m", "109", "--json")
     rc2, out2 = run(capsys, "construct", "--mode", "f2m", "109", "--json")
@@ -471,6 +484,31 @@ def basis_file(tmp_path, name, basis):
     path.write_text(json.dumps({"field": {"degree": 4, "modulus": "0x13"},
                                 "basis": basis}))
     return str(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "5", "null", '"curve"', "{", ""])
+def test_iso_and_radical_refuse_documents_that_are_not_objects(
+        capsys, tmp_path, text):
+    # a list used to end in an AttributeError traceback and exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    ok = basis_file(tmp_path, "ok.json", [["0x0", "0x1"]])
+    for argv in (["radical", str(bad)], ["iso", str(bad), str(bad)],
+                 ["iso", "--mode", "covers", str(ok), str(bad)]):
+        rc, out, err = run_full(capsys, *argv)
+        assert (rc, out) == (2, "") and err.startswith("error: "), argv
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("basis", [5, None, "0x1", {"0x1": 1}])
+def test_iso_covers_refuses_a_basis_that_is_not_a_list(
+        capsys, tmp_path, basis):
+    # 5 and null used to end in a TypeError traceback and exit 1
+    bad = basis_file(tmp_path, "bad.json", basis)
+    ok = basis_file(tmp_path, "ok.json", [["0x0", "0x1"]])
+    for first, second in ((bad, ok), (ok, bad)):
+        assert run_full(capsys, "iso", "--mode", "covers", first, second) == (
+            2, "", "error: basis must be a list of linearized polynomials\n")
 
 
 def test_iso_covers_rejects_a_zero_element(capsys, tmp_path):

@@ -13,13 +13,13 @@ SMALL = settings(max_examples=60, deadline=None)
 
 
 def scan_dlog(F, c):
-    """Oracle: walk a^0, a^1, ... through all of F_q^x and stop at c."""
-    v = 1
-    for e in range(F.order - 1):
-        if v == c:
-            return e
-        v = F.mul(v, F.generator)
-    return None
+    """Oracle: walk a^0, a^1, ... once around the cycle of a and stop at c."""
+    v, e = 1, 0
+    while v != c:
+        v, e = F.mul(v, F.generator), e + 1
+        if v == 1:
+            return None
+    return e
 
 
 def irreducible_fields(n):
@@ -36,13 +36,26 @@ def test_dlog_matches_scan_on_every_element(n):
 
 
 def test_canonical_generators_that_are_not_primitive():
-    # x generates a proper subgroup for the canonical moduli of degree 8,
-    # 12, 14 and 16, so the table base must be converted
-    for n in (8, 12, 14, 16):
+    # up to degree 20, x generates a proper subgroup for the canonical
+    # moduli of exactly these degrees; their tables hold the powers of x
+    # alone, so log(x) = 1 and elements outside <x> have no log
+    proper = (8, 9, 12, 14, 16, 18)
+    for n in range(1, 21):
         F = make_field(n)
         order, _ = F.generator_order()
-        assert order < F.order - 1 and (F.order - 1) % order == 0
-        assert F.ensure_tables() and F.tables[1][F.generator] != 1
+        assert (order < F.order - 1) == (n in proper), n
+    for n in proper:
+        F = make_field(n)
+        order, _ = F.generator_order()
+        assert (F.order - 1) % order == 0
+        assert F.ensure_tables()
+        assert len(F.tables[0]) == order and F.tables[1][F.generator] == 1
+        rng = random.Random(n)
+        inside = [F.pow(F.generator, rng.randrange(order)) for _ in range(20)]
+        drawn = [rng.randrange(1, F.order) for _ in range(20)]
+        assert [_dlog(F, c) for c in inside + drawn] == [
+            scan_dlog(F, c) for c in inside + drawn], n
+        assert any(_dlog(F, c) is None for c in drawn), n
     F = make_field(8)
     outside = [c for c in F.elements() if c and _dlog(F, c) is None]
     assert len(outside) == F.order - 1 - F.generator_order()[0]

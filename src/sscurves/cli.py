@@ -313,9 +313,14 @@ def build_parser():
     return parser
 
 
+_PARSER = None      # built by the first main call, then reused
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (BudgetError, CapacityError) as ex:

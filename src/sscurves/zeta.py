@@ -13,10 +13,11 @@ such forms: sum_x (-1)^Q(x) is 0 when Q is not constant on the radical W
 of its bilinear form, and (-1)^Arf(Q) 2^((N + dim W)/2) otherwise.
 Symplectic reduction finds W and the Arf sign exactly from O(N^2) field
 operations, without visiting the 2^N field elements, and a count sums the
-forms of the F_2-span of the f_j.  The rows of the bilinear form are the
-basis images of a linearized polynomial, one power chain per coefficient
-(``lin_images``), read through the cached trace-dual matrix; coefficients
-reach the extension through embeddings whose root is found in a subfield
+forms of the F_2-span of the f_j.  With Tr f(x) = Tr(x H(x)) + linear,
+H linearized, the form's matrix A is read off H's basis images, one power
+chain per coefficient (``lin_images``), through the cached trace-dual
+matrix; its bilinear rows are A + A^T.  Coefficients reach the extension
+through embeddings whose root is found in a subfield
 (``field.embedding_into``), and squarings read per-field byte tables.
 Only an exponent of binary weight 3 or more (a hand-written curve file,
 say) makes it enumerate the field instead.
@@ -32,7 +33,8 @@ pieces and each piece is counted over its own field of definition; pieces
 beyond the budget whose equation has the hyperelliptic shape
 w^2 + w = x R(x) are certified structurally instead of being recounted.
 Past the splitting field's capacity it certifies from the curve's strata.
-Power-sum additivity compares the curve's counts with the same pieces.
+Power-sum additivity compares the curve's counts with the same pieces,
+reusing the counts the ladder made over the ambient field.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -117,14 +119,25 @@ def count_points(curve, k, budget=DEFAULT_BUDGET):
                         for beta in betas])
 
 
+_COUNT_CACHE = {}
+
+
 def count_artin_schreier(rhs, k, budget=DEFAULT_BUDGET):
-    """Points of w^2 + w = rhs over the degree-k extension of rhs's field."""
+    """Points of w^2 + w = rhs over the degree-k extension of rhs's field.
+
+    Counts are kept by (rhs, k) for the life of the process, a few hundred
+    bytes an entry with rhs kept alive, and read only after the degree and
+    budget checks, so every refusal stands.
+    """
     reduced = as_reduce(rhs)
     if reduced.is_zero() or reduced.degree % 2 == 0:
         raise ValueError("reduced right-hand side must have odd degree "
                          "(one totally ramified place at infinity)")
     ext, emb = _extension(rhs.field, k, budget)
-    return _count(ext, [rhs.map_field(emb).terms])
+    n = _COUNT_CACHE.get((rhs, k))
+    if n is None:
+        n = _COUNT_CACHE[rhs, k] = _count(ext, [rhs.map_field(emb).terms])
+    return n
 
 
 def _extension(F, k, budget):
@@ -167,11 +180,12 @@ def _quadratic_form(F, terms):
     Returns None when some exponent has binary weight 3 or more.  Each term
     c x^(2^a + 2^b), a >= b, is rewritten by trace invariance as
     Tr(h x^(2^s + 1)) with h = c^(2^-b) and s = a - b; these gather into
-    Tr(x H(x)) with H = sum h_s x^(2^s) linearized.  Its bilinear form is
-    Tr(P(x) y) with P = H + H*, H* = sum h_s^(2^-s) x^(2^-s) the adjoint.
-    The rows are read off the basis images of H and P (``lin_images``) and
-    the trace-dual matrix.  The form is F_2-linear in f: the form of a sum
-    is the xor of the forms.
+    Tr(x H(x)) with H = sum h_s x^(2^s) linearized.  One power chain gives
+    H's basis images (``lin_images``), and the trace-dual matrix turns them
+    into A, A_ij = Tr(gamma^j H(gamma^i)).  Then Q(x) = sum x_i x_j A_ij:
+    the alternating rows are A + A^T and A's diagonal joins the linear
+    mask.  The form is F_2-linear in f: the form of a sum is the xor of the
+    forms.
     """
     n = F.degree
     const = lam = 0
@@ -189,16 +203,17 @@ def _quadratic_form(F, terms):
             lam ^= c            # Tr(c x^(2^a)) = Tr(c^(2^-a) x)
         else:
             h[(a - b) % n] ^= c
-    p = list(h)
-    for s, hs in enumerate(h):
-        if hs:
-            p[-s % n] ^= F.frobenius(hs, -s)
     # _xor_rows(dual, z) is the mask of j with Tr(z gamma^j) = 1
     dual = F.trace_dual()
     linear = _xor_rows(dual, lam)
-    for i, v in enumerate(lin_images(lin(F, h))):
-        linear ^= _xor_rows(dual, v) & (1 << i)     # Q(x) = Tr(x H(x))
-    rows = [_xor_rows(dual, v) for v in lin_images(lin(F, p))]
+    rows = [_xor_rows(dual, v) for v in lin_images(lin(F, h))]   # A
+    for i, r in enumerate(list(rows)):
+        bit = 1 << i
+        linear ^= r & bit       # x_i^2 = x_i: the diagonal is linear
+        while r:                # rows = A + A^T, transposed bit by bit
+            low = r & -r
+            rows[low.bit_length() - 1] ^= bit
+            r ^= low
     return F.trace(const), linear, rows
 
 

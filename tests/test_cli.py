@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from sscurves import jsonio
+from sscurves import cli, jsonio
 from sscurves.cli import main
 from sscurves.limits import DEFAULT_LOG2_POINTS
 
@@ -91,6 +91,16 @@ def test_verify_output_is_pinned(capsys, name):
     rc, out = run(capsys, "verify", "--json",
                   os.path.join(FIXTURES, name + ".json"))
     with open(os.path.join(FIXTURES, "expected", name + ".verify.json")) as fh:
+        assert (rc, out) == (0, fh.read())
+
+
+def test_verify_exact_route_is_pinned(capsys):
+    # with both bounds at 80 every piece of g221_f2 is counted: 63 numeric
+    # pieces and a proven verdict
+    rc, out = run(capsys, "verify", "--json", "--budget-log2", "80",
+                  "--max-degree", "80", os.path.join(FIXTURES, "g221_f2.json"))
+    with open(os.path.join(FIXTURES, "expected",
+                           "g221_f2.verify-b80.json")) as fh:
         assert (rc, out) == (0, fh.read())
 
 
@@ -697,3 +707,49 @@ def test_bounds_must_be_positive(capsys, monkeypatch, flag, env):
         2, "", "error: %s: invalid int value: 'x'\n" % env)
     # the flag wins over the environment
     assert run_full(capsys, "count", g5, flag, "24") == (0, "3\n", "")
+
+
+def test_parser_is_reused_across_calls(capsys, tmp_path):
+    # one process runs a sequence of commands through the parser that the
+    # first call built; each must print and exit as a fresh process does
+    g5 = os.path.join(FIXTURES, "g5_f2.json")
+    out = tmp_path / "g30.json"
+    commands = (["verify", "--kmax", "3", g5], ["verify", g5],
+                ["count", "--ext", "2", g5], ["count", g5],
+                ["quotients", "--json", g5], ["quotients", g5],
+                ["construct", "--mode", "f2m", "30", "--out", str(out)],
+                ["verify", "--kmax", "x", g5], ["--version"])
+    env = dict(os.environ, PYTHONPATH=SRC)
+    parsers = set()
+    for argv in commands:
+        try:
+            rc = main(argv)
+        except SystemExit as ex:
+            rc = ex.code
+        parsers.add(cli._PARSER)
+        captured = capsys.readouterr()
+        written = out.read_text() if "--out" in argv else None
+        proc = subprocess.run([sys.executable, "-m", "sscurves.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert (captured.out, captured.err, rc) == (
+            proc.stdout, proc.stderr, proc.returncode), argv
+        if written is not None:
+            assert out.read_text() == written
+    assert len(parsers) == 1
+
+
+def test_import_builds_no_parser():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import sscurves.cli\n"
+            "print(len(built), sscurves.cli._PARSER)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0 None\n"), proc.stderr

@@ -319,6 +319,35 @@ def test_quadratic_form_matches_per_basis_construction(data, d, k, u):
     assert zeta._quadratic_form(ext, terms) == per_basis_form(ext, terms)
 
 
+@st.composite
+def wide_terms(draw, F):
+    """A constant, a linear term, a shift above n/2 and up to 3 more terms.
+
+    Exponents 2^a + 2^b run past 2^n, so shifts a - b wrap modulo n.
+    """
+    n = F.degree
+    coeff = st.integers(1, F.order - 1)
+    b = st.integers(0, n - 1)
+    terms = [(0, draw(coeff))]
+    terms.append((1 << draw(b), draw(coeff)))
+    shifts = [draw(st.integers(n // 2 + 1, n - 1))]
+    shifts += draw(st.lists(st.integers(1, 2 * n - 1), max_size=3))
+    for s in shifts:
+        low = draw(b)
+        terms.append(((1 << (low + s)) | (1 << low), draw(coeff)))
+    return sparse(F, terms).terms
+
+
+@pytest.mark.parametrize("n", [25, 31, 40, 48, 61, 64])
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_quadratic_form_matches_per_basis_construction_wide(n, data):
+    # the rows A + A^T from one chain against the rows of H + H*
+    F = make_field(n)
+    terms = data.draw(wide_terms(F))
+    assert zeta._quadratic_form(F, terms) == per_basis_form(F, terms)
+
+
 def enumerate_single(c, k):
     """Oracle for S(y) = T(x): |ker S| points over each x with T(x) in im S."""
     ext, emb = extend_and_embed(c.field, k)
@@ -357,6 +386,86 @@ def test_count_rejects_bad_right_sides():
         count_artin_schreier(sparse(F2, {4: 1, 1: 1}), 1)   # reduces to zero
     with pytest.raises(ValueError):
         count_artin_schreier(sparse(F2, {}), 1)
+
+
+def test_count_memo_keeps_the_budget():
+    # a count made under a large budget is refused again under a small one
+    f = sparse(F2, {5: 1, 3: 1})
+    assert count_artin_schreier(f, 20, Budget(log2_points=24)) == (
+        count_artin_schreier(f, 20, Budget(log2_points=24)))
+    for small in (Budget(log2_points=16), Budget(max_degree=16)):
+        with pytest.raises(BudgetError):
+            count_artin_schreier(f, 20, small)
+
+
+def test_count_memo_keeps_the_degree_check():
+    for terms in ({0: 1}, {4: 1, 1: 1}, {2: 1, 1: 1, 0: 1}):
+        f = sparse(F4, terms)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                count_artin_schreier(f, 1)
+        assert not any(key[0] == f for key in zeta._COUNT_CACHE)
+
+
+def test_count_memo_matches_fresh_counts(monkeypatch):
+    rng = random.Random(19)
+    rhs = []
+    for _ in range(12):
+        F = make_field(rng.randrange(1, 6))
+        u = rng.randrange(2, 5)
+        terms = {(1 << u) + 1: rng.randrange(1, F.order)}
+        for _ in range(rng.randrange(4)):
+            b = rng.randrange(4)
+            terms[(1 << (b + rng.randrange(1, u))) | (1 << b)] = (
+                rng.randrange(F.order))
+        rhs.append((sparse(F, terms), rng.randrange(1, 4)))
+    memo = [count_artin_schreier(f, k) for f, k in rhs]
+    counted = []
+    count = zeta._count
+
+    def spy(ext, term_lists):
+        counted.append(ext.degree)
+        return count(ext, term_lists)
+
+    monkeypatch.setattr(zeta, "_count", spy)
+    assert [count_artin_schreier(f, k) for f, k in rhs] == memo
+    assert counted == []
+    monkeypatch.setattr(zeta, "_COUNT_CACHE", {})
+    assert [count_artin_schreier(f, k) for f, k in rhs] == memo
+    assert len(counted) == len(set(rhs))
+
+
+def test_additivity_reads_the_ladder_counts(monkeypatch):
+    # the pieces of f2m g63 that the ladder counted over the ambient field
+    # reach no quadratic form again in the additivity check
+    monkeypatch.setattr(zeta, "_COUNT_CACHE", {})
+    spec = build_components(decompose(63))
+    count, form = zeta.count_artin_schreier, zeta._quadratic_form
+    calls = {"ladder": set(), "additivity": set()}
+    formed = {"ladder": set(), "additivity": set()}
+    counting = []
+
+    def count_spy(rhs, k, budget=zeta.DEFAULT_BUDGET):
+        calls[phase].add((rhs, k))
+        counting.append((rhs, k))
+        try:
+            return count(rhs, k, budget)
+        finally:
+            counting.pop()
+
+    def form_spy(F, terms):
+        if counting:
+            formed[phase].add(counting[-1])
+        return form(F, terms)
+
+    monkeypatch.setattr(zeta, "count_artin_schreier", count_spy)
+    monkeypatch.setattr(zeta, "_quadratic_form", form_spy)
+    phase = "ladder"
+    assert verify_supersingular(spec).supersingular is True
+    phase = "additivity"
+    assert powersum_additivity_check(spec, 2) is True
+    assert calls["additivity"] & formed["ladder"]
+    assert not formed["additivity"] & formed["ladder"]
 
 
 def test_lpoly_examples():

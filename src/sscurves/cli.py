@@ -20,8 +20,8 @@ from .decomp import decompose
 from .limits import (DEFAULT_LOG2_POINTS, DEFAULT_MAX_DEGREE, Budget,
                      BudgetError, CapacityError)
 from .quotient import decomposition, is_irreducible
-from .zeta import (count_points, genus_and_degree,
-                   powersum_additivity_check, verify_supersingular)
+from .zeta import (AdditivityError, count_points, genus_and_degree,
+                   ladder_route, verify_supersingular)
 
 
 def _budget(args):
@@ -142,7 +142,7 @@ def cmd_lpoly(args):
     budget = _budget(args)
     curve = jsonio.load_curve(args.curvefile, budget.max_degree)
     genus, N = genus_and_degree(curve)
-    if genus and not budget.fits_points(N * (genus + 2)):   # ladder rung (a)
+    if ladder_route(genus, N, None, budget) is None:
         raise BudgetError("curve is too large to count directly; "
                           "use verify for the piecewise ladder")
     report = verify_supersingular(curve, budget)
@@ -155,38 +155,30 @@ def cmd_lpoly(args):
 def cmd_verify(args):
     budget = _budget(args)
     curve = jsonio.load_curve(args.curvefile, budget.max_degree)
-    failures = []
-    checks = {}
-    if isinstance(curve, CurveSpec):
-        checks["irreducible"] = is_irreducible(curve)
-        if not checks["irreducible"]:
-            failures.append("reducible")
+    kmax = None if args.skip_additivity else args.kmax
+    single = isinstance(curve, CurveSpec)
     try:
-        report = verify_supersingular(curve, budget)
+        report = verify_supersingular(curve, budget, kmax)
+    except AdditivityError:
+        raise           # the check failed to run: an error, not a verdict
     except ValueError as ex:
+        checks = {"irreducible": is_irreducible(curve)} if single else {}
+        failures = [] if checks.get("irreducible", True) else ["reducible"]
         doc = {"supersingular": False, "checks": checks,
                "failures": failures + [str(ex)]}
         _emit(args, doc, ["FAIL: %s" % ex])
         return 1
     doc = jsonio.report_to_json(report)
-    doc["checks"].update(checks)
+    if single and kmax is None:
+        # the ladder reports irreducibility along with the additivity check
+        doc["checks"]["irreducible"] = True
+    failures = []
     if report.supersingular is False:
         failures.append("newton polygon rejects supersingularity")
-    for key, ok in report.checks.items():
-        if ok is False:
-            failures.append(key)
-    if not args.skip_additivity:
-        try:
-            ok = powersum_additivity_check(curve, args.kmax, budget)
-            doc["checks"]["powersum_additivity"] = ok
-            if not ok:
-                failures.append("powersum_additivity")
-        except (BudgetError, CapacityError):
-            doc["checks"]["powersum_additivity"] = "skipped (budget)"
+    failures += [key for key, ok in doc["checks"].items() if ok is False]
     doc["failures"] = failures
-    verdict = report.supersingular
     lines = ["genus %d" % report.genus,
-             "supersingular: %s" % json.dumps(verdict),
+             "supersingular: %s" % json.dumps(report.supersingular),
              "checks: %s" % json.dumps(doc["checks"])]
     if failures:
         lines.append("FAILURES: %s" % ", ".join(failures))

@@ -28,13 +28,13 @@ arithmetic; floating point never enters.  The supersingularity verdict is
 the Newton-polygon criterion: every slope equals 1/2 (in q-adic units),
 decided exactly on 2-adic valuations.
 
-When a curve is too large to count, its jacobian is split into quotient
-pieces and each piece is counted over its own field of definition; pieces
-beyond the budget whose equation has the hyperelliptic shape
-w^2 + w = x R(x) are certified structurally instead of being recounted.
-Past the splitting field's capacity it certifies from the curve's strata.
-Power-sum additivity compares the curve's counts with the same pieces,
-reusing the counts the ladder made over the ambient field.
+The supersingularity ladder checks one list of entries: the curve itself
+when its counts fit the budget, else its quotient pieces over their fields
+of definition, else, past the splitting field's capacity, its strata.  One
+route function picks each entry's check: counted, rational, or, for a piece
+beyond the budget of the hyperelliptic shape w^2 + w = x R(x), certified
+without a recount.  Power-sum additivity compares the curve's counts with
+the pieces', reusing the ladder's counts within one call.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -45,12 +45,16 @@ from .builder import (CurveSpec, FibreProductSpec, fibre_combinations,
 from .field import _xor_rows, extend_and_embed
 from .linops import (as_genus, as_reduce, definition_field, lin, lin_images,
                      lin_kernel)
-from .limits import DEFAULT_BUDGET, CapacityError
+from .limits import DEFAULT_BUDGET, BudgetError, CapacityError
 from .quotient import QuotientCurve, decomposition, dual_equation, is_irreducible
 
 
 class InconsistentCounts(ValueError):
     """Counts violate the Weil bound or the Newton identities' integrality."""
+
+
+class AdditivityError(ValueError):
+    """The additivity check could not run: an error, not a verdict."""
 
 
 @dataclass(frozen=True)
@@ -119,25 +123,14 @@ def count_points(curve, k, budget=DEFAULT_BUDGET):
                         for beta in betas])
 
 
-_COUNT_CACHE = {}
-
-
 def count_artin_schreier(rhs, k, budget=DEFAULT_BUDGET):
-    """Points of w^2 + w = rhs over the degree-k extension of rhs's field.
-
-    Counts are kept by (rhs, k) for the life of the process, a few hundred
-    bytes an entry with rhs kept alive, and read only after the degree and
-    budget checks, so every refusal stands.
-    """
+    """Points of w^2 + w = rhs over the degree-k extension of rhs's field."""
     reduced = as_reduce(rhs)
     if reduced.is_zero() or reduced.degree % 2 == 0:
         raise ValueError("reduced right-hand side must have odd degree "
                          "(one totally ramified place at infinity)")
     ext, emb = _extension(rhs.field, k, budget)
-    n = _COUNT_CACHE.get((rhs, k))
-    if n is None:
-        n = _COUNT_CACHE[rhs, k] = _count(ext, [rhs.map_field(emb).terms])
-    return n
+    return _count(ext, [rhs.map_field(emb).terms])
 
 
 def _extension(F, k, budget):
@@ -432,103 +425,110 @@ class VerificationReport:
     checks: dict = dc_field(default_factory=dict)
 
 
-def _hyperelliptic_shape(rhs):
+def ladder_route(genus, d, rhs, budget):
+    """How the ladder checks an entry of this genus over F_2^d, or None.
+
+    Counted when its counts up to k = genus + 2 fit the budget; beyond it,
+    certified when rhs (None for the whole curve) has the shape below.
+    """
+    if genus == 0:
+        return "rational"
+    if budget.fits_points(d * (genus + 2)):
+        return "numeric"
     # every non-constant term of the reduced rhs is x^(2^e + 1), or x (from
     # x^2), and there is one: the cover is then one of the supersingular
     # hyperelliptic family (a constant does not change it over the closure)
-    exps = [e for e, _ in as_reduce(rhs).terms if e]
-    return bool(exps) and not any((e - 1) & (e - 2) for e in exps)
+    exps = [e for e, _ in as_reduce(rhs).terms if e] if rhs is not None else ()
+    if exps and not any((e - 1) & (e - 2) for e in exps):
+        return "certified-not-recounted"
+    return None
 
 
-def _verify_numeric(curve, genus, N, budget):
-    series = count_series(curve, genus, budget)
-    L = lpoly_from_counts(series)
-    predictions_ok = all(
-        predicted_count(L, k) == series.counts[k - 1]
-        for k in range(genus + 1, len(series.counts) + 1))
-    return L, newton_polygon(L, N), predictions_ok
-
-
-def verify_supersingular(curve, budget=DEFAULT_BUDGET):
+def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
     """Decide supersingularity of a CurveSpec or FibreProductSpec along a ladder.
 
-    (a) Count the curve itself when its count fits the budget.
-    (b) Otherwise split off the quotient pieces and verify each over its
-        field of definition, certifying pieces of hyperelliptic shape that
-        exceed the budget ("certified-not-recounted").
-    (c) If even the splitting field is out of capacity, certify stratum by
-        stratum from the curve's strata.
+    The entries are the curve itself ("self") when its ``ladder_route`` is
+    numeric, else its quotient pieces over their fields of definition, each
+    along its own route, else (the splitting field out of capacity) its
+    strata, certified.  With kmax the report adds power-sum additivity for
+    k = 1..kmax, which reads the ladder's counts of the pieces.
     """
     genus, N = genus_and_degree(curve)
     report = VerificationReport(genus=genus, supersingular=True)
-
-    if genus == 0:
-        # rational: nothing to verify (the zero abelian variety)
-        report.checks["rational"] = True
-        return report
-
-    if budget.fits_points(N * (genus + 2)):
-        L, np_report, pred_ok = _verify_numeric(curve, genus, N, budget)
-        report.lpoly = L
-        report.slopes = np_report.slopes
-        report.checks["weil_bounds"] = True
-        report.checks["functional_equation_predictions"] = pred_ok
-        report.checks["lpoly_degree"] = len(L.coeffs) - 1 == 2 * genus
-        report.supersingular = bool(np_report.supersingular and pred_ok)
-        report.pieces.append({
-            "label": "self", "field_degree": N, "genus": genus,
-            "mode": "numeric", "supersingular": np_report.supersingular,
-            "lpoly": list(L.coeffs),
-        })
-        return report
-
-    pieces = _pieces(curve, budget)
-    if pieces is not None:
+    route = ladder_route(genus, N, None, budget)
+    pieces = None if route else _pieces(curve, budget)
+    counted = {}        # piece rhs -> the ladder's counts of it
+    if route == "rational":
+        report.checks["rational"] = True    # the zero abelian variety
+    elif route == "numeric" or pieces is not None:
         verdicts = []
-        for label, rhs, stratum_genus in pieces:
-            small = definition_field(rhs)
-            d = small.field.degree
-            gp = as_genus(small)
-            assert stratum_genus is None or stratum_genus == gp
-            entry = {"label": label, "field_degree": d, "genus": gp}
-            if gp == 0:
-                entry["mode"] = "rational"
-                entry["supersingular"] = True
-            elif budget.fits_points(d * (gp + 2)):
-                piece = QuotientCurve(0, small, gp)
-                L, np_report, pred_ok = _verify_numeric(piece, gp, d, budget)
-                entry["mode"] = "numeric"
-                entry["supersingular"] = bool(np_report.supersingular and pred_ok)
+        for label, rhs, gp in pieces or [("self", None, genus)]:
+            entry_curve = curve
+            if rhs is not None:
+                rhs = definition_field(rhs)
+                stratum_genus, gp = gp, as_genus(rhs)
+                assert stratum_genus in (None, gp)
+                entry_curve = QuotientCurve(0, rhs, gp)
+            d = entry_curve.field.degree
+            mode = ladder_route(gp, d, rhs, budget)
+            entry = {"label": label, "field_degree": d, "genus": gp,
+                     "mode": mode}
+            if mode == "numeric":
+                series = count_series(entry_curve, gp, budget)
+                L = lpoly_from_counts(series)
+                np_report = newton_polygon(L, d)
+                pred_ok = all(predicted_count(L, k) == series.counts[k - 1]
+                              for k in range(gp + 1, len(series.counts) + 1))
+                verdict = bool(np_report.supersingular and pred_ok)
+                # the curve's own entry shows the Newton polygon's verdict
+                entry["supersingular"] = (
+                    np_report.supersingular if rhs is None else verdict)
                 entry["lpoly"] = list(L.coeffs)
-            elif _hyperelliptic_shape(small):
-                entry["mode"] = "certified-not-recounted"
-                entry["supersingular"] = "certified"
+                if rhs is None:
+                    report.lpoly, report.slopes = L, np_report.slopes
+                    report.checks["weil_bounds"] = True
+                    report.checks["functional_equation_predictions"] = pred_ok
+                    report.checks["lpoly_degree"] = len(L.coeffs) - 1 == 2 * gp
+                else:
+                    counted[rhs] = series.counts
+            elif mode is None:
+                raise CapacityError("piece %s exceeds the budget and has no "
+                                    "certifiable shape" % label)
             else:
-                raise CapacityError(
-                    "piece %s exceeds the budget and has no certifiable shape"
-                    % label)
-            verdicts.append(entry["supersingular"])
+                verdict = entry["supersingular"] = (
+                    True if mode == "rational" else "certified")
+            verdicts.append(verdict)
             report.pieces.append(entry)
-        report.checks["piece_genus_total"] = (
-            sum(p["genus"] for p in report.pieces) == genus)
+        if pieces is not None:
+            report.checks["piece_genus_total"] = (
+                sum(p["genus"] for p in report.pieces) == genus)
         if any(v is False for v in verdicts):
             report.supersingular = False
-        elif all(v is True for v in verdicts):
-            report.supersingular = True
-        else:
+        elif not all(v is True for v in verdicts):
             report.supersingular = "certified"
-        return report
-
-    # stratum-level certificates only
-    for (u, _), (count, gp) in zip(curve.strata, stratum_rows(curve.strata)):
-        report.pieces.append({
-            "label": "stratum u=%d" % u, "count": count,
-            "genus": gp, "mode": "certified-not-recounted",
-            "supersingular": "certified",
-        })
-    report.checks["stratum_genus_total"] = (
-        sum(p["count"] * p["genus"] for p in report.pieces) == genus)
-    report.supersingular = "certified"
+    else:
+        for (u, _), (count, gp) in zip(curve.strata,
+                                       stratum_rows(curve.strata)):
+            report.pieces.append({
+                "label": "stratum u=%d" % u, "count": count,
+                "genus": gp, "mode": "certified-not-recounted",
+                "supersingular": "certified",
+            })
+        report.checks["stratum_genus_total"] = (
+            sum(p["count"] * p["genus"] for p in report.pieces) == genus)
+        report.supersingular = "certified"
+    if kmax is not None:
+        if isinstance(curve, CurveSpec):
+            report.checks["irreducible"] = True     # genus_and_degree checked
+        try:
+            if route:       # the ladder split off no pieces
+                pieces = _pieces(curve, budget)
+            ok = _additive(curve, pieces, kmax, budget, counted)
+        except (BudgetError, CapacityError):
+            ok = "skipped (budget)"
+        except ValueError as ex:
+            raise AdditivityError(str(ex)) from ex
+        report.checks["powersum_additivity"] = ok
     return report
 
 
@@ -558,10 +558,14 @@ def powersum_additivity_check(curve, kmax, budget=DEFAULT_BUDGET):
     for single-equation curves, the base field for fibre products), for
     every k = 1..kmax:  count(C) - (Q+1)  =  sum_pieces (count(piece) - (Q+1)).
     """
+    _check_irreducible(curve)
+    return _additive(curve, _pieces(curve, budget), kmax, budget, {})
+
+
+def _additive(curve, pieces, kmax, budget, counted):
+    """Additivity over pieces (None: out of capacity), reading counted[rhs]."""
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    _check_irreducible(curve)
-    pieces = _pieces(curve, budget)
     if pieces is None:
         raise CapacityError("quotient pieces exceed the degree bound")
     M = pieces[0][1].field.degree if pieces else curve.field.degree
@@ -569,7 +573,8 @@ def powersum_additivity_check(curve, kmax, budget=DEFAULT_BUDGET):
     for k in range(1, kmax + 1):
         Q = 1 << (M * k)
         lhs = count_points(curve, scale * k, budget) - (Q + 1)
-        if lhs != sum(count_artin_schreier(rhs, k, budget) - (Q + 1)
+        if lhs != sum((counted[rhs][k - 1] if k <= len(counted.get(rhs, ()))
+                       else count_artin_schreier(rhs, k, budget)) - (Q + 1)
                       for _, rhs, _ in pieces):
             return False
     return True

@@ -517,6 +517,20 @@ def test_verify_kmax_must_be_positive(capsys):
     assert rc == 0 and json.loads(out)["checks"]["powersum_additivity"] is True
 
 
+def test_verify_additivity_error_is_not_a_verdict(capsys, monkeypatch):
+    # an error inside the additivity check exits 2 as it did when the check
+    # ran after the ladder; it is not a FAIL report with exit 1
+    from sscurves import zeta
+
+    def fail(*args):
+        raise ValueError("no pieces")
+
+    monkeypatch.setattr(zeta, "_pieces", fail)
+    g5 = os.path.join(FIXTURES, "g5_f2.json")
+    assert run_full(capsys, "verify", g5) == (2, "", "error: no pieces\n")
+    assert run(capsys, "verify", g5, "--skip-additivity")[0] == 0
+
+
 def test_count_ext_must_be_positive(capsys):
     # --ext 0 used to fail deep in the field code, naming a field degree
     g5 = os.path.join(FIXTURES, "g5_f2.json")

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -404,49 +405,39 @@ def test_count_memo_keeps_the_degree_check():
         for _ in range(2):
             with pytest.raises(ValueError):
                 count_artin_schreier(f, 1)
-        assert not any(key[0] == f for key in zeta._COUNT_CACHE)
 
 
-def test_count_memo_matches_fresh_counts(monkeypatch):
-    rng = random.Random(19)
-    rhs = []
-    for _ in range(12):
-        F = make_field(rng.randrange(1, 6))
-        u = rng.randrange(2, 5)
-        terms = {(1 << u) + 1: rng.randrange(1, F.order)}
-        for _ in range(rng.randrange(4)):
-            b = rng.randrange(4)
-            terms[(1 << (b + rng.randrange(1, u))) | (1 << b)] = (
-                rng.randrange(F.order))
-        rhs.append((sparse(F, terms), rng.randrange(1, 4)))
-    memo = [count_artin_schreier(f, k) for f, k in rhs]
-    counted = []
-    count = zeta._count
+def _fixture_curves():
+    from sscurves import jsonio
+    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+    names = sorted(f for f in os.listdir(fixtures) if f.endswith(".json"))
+    return ([(n, jsonio.load_curve(os.path.join(fixtures, n))) for n in names]
+            + [("f2m g63", build_components(decompose(63)))])
 
-    def spy(ext, term_lists):
-        counted.append(ext.degree)
-        return count(ext, term_lists)
 
-    monkeypatch.setattr(zeta, "_count", spy)
-    assert [count_artin_schreier(f, k) for f, k in rhs] == memo
-    assert counted == []
-    monkeypatch.setattr(zeta, "_COUNT_CACHE", {})
-    assert [count_artin_schreier(f, k) for f, k in rhs] == memo
-    assert len(counted) == len(set(rhs))
+@pytest.mark.parametrize("budget", [zeta.DEFAULT_BUDGET, Budget(log2_points=14)])
+def test_ladder_additivity_matches_a_fresh_check(budget):
+    # the ladder's additivity check reads the counts it made; the public
+    # check counts everything afresh, and the two must agree
+    for name, curve in _fixture_curves():
+        try:
+            fresh = powersum_additivity_check(curve, 2, budget)
+        except (BudgetError, CapacityError):
+            fresh = "skipped (budget)"
+        report = verify_supersingular(curve, budget, kmax=2)
+        assert report.checks["powersum_additivity"] == fresh, name
 
 
 def test_additivity_reads_the_ladder_counts(monkeypatch):
-    # the pieces of f2m g63 that the ladder counted over the ambient field
+    # in one ladder on f2m g63, the pieces counted over the ambient field
     # reach no quadratic form again in the additivity check
-    monkeypatch.setattr(zeta, "_COUNT_CACHE", {})
     spec = build_components(decompose(63))
-    count, form = zeta.count_artin_schreier, zeta._quadratic_form
-    calls = {"ladder": set(), "additivity": set()}
+    count, form, additive = (zeta.count_artin_schreier, zeta._quadratic_form,
+                             zeta._additive)
     formed = {"ladder": set(), "additivity": set()}
-    counting = []
+    counting, phase, ambient = [], ["ladder"], set()
 
     def count_spy(rhs, k, budget=zeta.DEFAULT_BUDGET):
-        calls[phase].add((rhs, k))
         counting.append((rhs, k))
         try:
             return count(rhs, k, budget)
@@ -455,17 +446,24 @@ def test_additivity_reads_the_ladder_counts(monkeypatch):
 
     def form_spy(F, terms):
         if counting:
-            formed[phase].add(counting[-1])
+            formed[phase[0]].add(counting[-1])
         return form(F, terms)
+
+    def additive_spy(curve, pieces, kmax, budget, counted):
+        phase[0] = "additivity"
+        ambient.update((rhs, k) for _, rhs, _ in pieces
+                       for k in range(1, kmax + 1))
+        return additive(curve, pieces, kmax, budget, counted)
 
     monkeypatch.setattr(zeta, "count_artin_schreier", count_spy)
     monkeypatch.setattr(zeta, "_quadratic_form", form_spy)
-    phase = "ladder"
-    assert verify_supersingular(spec).supersingular is True
-    phase = "additivity"
-    assert powersum_additivity_check(spec, 2) is True
-    assert calls["additivity"] & formed["ladder"]
-    assert not formed["additivity"] & formed["ladder"]
+    monkeypatch.setattr(zeta, "_additive", additive_spy)
+    report = verify_supersingular(spec, kmax=2)
+    assert report.supersingular is True
+    assert report.checks["powersum_additivity"] is True
+    reused = formed["ladder"] & ambient
+    assert reused and formed["additivity"]
+    assert not formed["additivity"] & reused
 
 
 def test_lpoly_examples():

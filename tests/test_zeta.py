@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sscurves import field, zeta
+from sscurves import field, jsonio, zeta
 from sscurves.builder import (CurveSpec, FibreProductSpec, build_components,
                               build_prime_field, glue_single_block)
 from sscurves.decomp import decompose
@@ -408,14 +408,14 @@ def test_count_memo_keeps_the_degree_check():
 
 
 def _fixture_curves():
-    from sscurves import jsonio
     fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
     names = sorted(f for f in os.listdir(fixtures) if f.endswith(".json"))
     return ([(n, jsonio.load_curve(os.path.join(fixtures, n))) for n in names]
             + [("f2m g63", build_components(decompose(63)))])
 
 
-@pytest.mark.parametrize("budget", [zeta.DEFAULT_BUDGET, Budget(log2_points=14)])
+@pytest.mark.parametrize("budget", [zeta.DEFAULT_BUDGET,
+                                    Budget(log2_points=14)])
 def test_ladder_additivity_matches_a_fresh_check(budget):
     # the ladder's additivity check reads the counts it made; the public
     # check counts everything afresh, and the two must agree

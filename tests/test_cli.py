@@ -76,6 +76,7 @@ def test_fixture_stability(capsys):
             ("g221_f2.json", ["construct", "--mode", "f2", "221", "--json"]),
             ("g30_f2m_glued.json",
              ["construct", "--mode", "f2m", "--glue", "30", "--json"]),
+            ("g63_f2m.json", ["construct", "--mode", "f2m", "63", "--json"]),
     ):
         rc, out = run(capsys, *argv)
         assert rc == 0
@@ -115,6 +116,16 @@ def test_verify_stratum_route_is_pinned(capsys):
         with open(expected) as fh:
             assert run(capsys, "verify", "--json", *flags, fixture) == (
                 0, fh.read()), suffix
+
+
+def test_verify_additivity_past_the_ladder_is_pinned(capsys):
+    # the genus-1 pieces of g63_f2m are counted up to k = 3 by the ladder, so
+    # --kmax 4 makes the additivity check count each piece at k = 4 itself
+    rc, out = run(capsys, "verify", "--json", "--kmax", "4",
+                  os.path.join(FIXTURES, "g63_f2m.json"))
+    with open(os.path.join(FIXTURES, "expected",
+                           "g63_f2m.verify-k4.json")) as fh:
+        assert (rc, out) == (0, fh.read())
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -33,8 +33,11 @@ when its counts fit the budget, else its quotient pieces over their fields
 of definition, else, past the splitting field's capacity, its strata.  One
 route function picks each entry's check: counted, rational, or, for a piece
 beyond the budget of the hyperelliptic shape w^2 + w = x R(x), certified
-without a recount.  Power-sum additivity compares the curve's counts with
-the pieces', reusing the ladder's counts within one call.
+without a recount.  Pieces are counted once per Frobenius class: a
+right-hand side and its coefficient-wise conjugates over the same field
+have the same counts at every k, since x -> x^2 carries the points of one
+onto the other.  Power-sum additivity compares the curve's counts with the
+pieces', reusing the ladder's counts of each class within one call.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -316,6 +319,16 @@ def _trace_rows(ext, s, length):
     return rows
 
 
+def _class_key(rhs):
+    """rhs's field and the least of its coefficient-wise conjugates over it."""
+    F, terms = rhs.field, rhs.terms
+    least = terms
+    for _ in range(F.degree - 1):
+        terms = tuple((e, F.sqr(c)) for e, c in terms)
+        least = min(least, terms)
+    return F, least
+
+
 def count_series(curve, genus, budget=DEFAULT_BUDGET, kmax=None):
     """CountSeries for k = 1..kmax (default genus + 2), Weil-checked."""
     if kmax is None:
@@ -450,14 +463,17 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
     The entries are the curve itself ("self") when its ``ladder_route`` is
     numeric, else its quotient pieces over their fields of definition, each
     along its own route, else (the splitting field out of capacity) its
-    strata, certified.  With kmax the report adds power-sum additivity for
-    k = 1..kmax, which reads the ladder's counts of the pieces.
+    strata, certified.  A piece is counted, interpolated and checked once
+    per Frobenius class (``_class_key``); later members reuse the results.
+    With kmax the report adds power-sum additivity for k = 1..kmax, which
+    reads the ladder's counts of each class.
     """
     genus, N = genus_and_degree(curve)
     report = VerificationReport(genus=genus, supersingular=True)
     route = ladder_route(genus, N, None, budget)
     pieces = None if route else _pieces(curve, budget)
-    counted = {}        # piece rhs -> the ladder's counts of it
+    classes = {}        # class key (None: the curve) -> series, L, NP, pred_ok
+    counted = {}        # piece class key -> the ladder's counts of it
     if route == "rational":
         report.checks["rational"] = True    # the zero abelian variety
     elif route == "numeric" or pieces is not None:
@@ -474,11 +490,14 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
             entry = {"label": label, "field_degree": d, "genus": gp,
                      "mode": mode}
             if mode == "numeric":
-                series = count_series(entry_curve, gp, budget)
-                L = lpoly_from_counts(series)
-                np_report = newton_polygon(L, d)
-                pred_ok = all(predicted_count(L, k) == series.counts[k - 1]
-                              for k in range(gp + 1, len(series.counts) + 1))
+                key = None if rhs is None else _class_key(rhs)
+                if key not in classes:
+                    series = count_series(entry_curve, gp, budget)
+                    L = lpoly_from_counts(series)
+                    classes[key] = series, L, newton_polygon(L, d), all(
+                        predicted_count(L, k) == series.counts[k - 1]
+                        for k in range(gp + 1, len(series.counts) + 1))
+                series, L, np_report, pred_ok = classes[key]
                 verdict = bool(np_report.supersingular and pred_ok)
                 # the curve's own entry shows the Newton polygon's verdict
                 entry["supersingular"] = (
@@ -490,7 +509,7 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
                     report.checks["functional_equation_predictions"] = pred_ok
                     report.checks["lpoly_degree"] = len(L.coeffs) - 1 == 2 * gp
                 else:
-                    counted[rhs] = series.counts
+                    counted[key] = list(series.counts)
             elif mode is None:
                 raise CapacityError("piece %s exceeds the budget and has no "
                                     "certifiable shape" % label)
@@ -563,18 +582,28 @@ def powersum_additivity_check(curve, kmax, budget=DEFAULT_BUDGET):
 
 
 def _additive(curve, pieces, kmax, budget, counted):
-    """Additivity over pieces (None: out of capacity), reading counted[rhs]."""
+    """Additivity over pieces (None: out of capacity), reading counted[key].
+
+    counted maps a piece's class key to its counts for k = 1, 2, ...; a
+    class's first member counts each k missing there, and later members
+    read it.
+    """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     if pieces is None:
         raise CapacityError("quotient pieces exceed the degree bound")
     M = pieces[0][1].field.degree if pieces else curve.field.degree
     scale = M // curve.field.degree
+    keys = [_class_key(rhs) for _, rhs, _ in pieces]
     for k in range(1, kmax + 1):
         Q = 1 << (M * k)
         lhs = count_points(curve, scale * k, budget) - (Q + 1)
-        if lhs != sum((counted[rhs][k - 1] if k <= len(counted.get(rhs, ()))
-                       else count_artin_schreier(rhs, k, budget)) - (Q + 1)
-                      for _, rhs, _ in pieces):
+        rhs_sum = 0
+        for (_, rhs, _), key in zip(pieces, keys):
+            counts = counted.setdefault(key, [])
+            if len(counts) < k:
+                counts.append(count_artin_schreier(rhs, k, budget))
+            rhs_sum += counts[k - 1] - (Q + 1)
+        if lhs != rhs_sum:
             return False
     return True

@@ -13,7 +13,8 @@ from sscurves.decomp import decompose
 from sscurves.field import F2LinearMap, extend_and_embed, make_field
 from sscurves.gf2x import smallest_irreducible
 from sscurves.limits import Budget, BudgetError, CapacityError
-from sscurves.linops import lin, lin_compose, lin_eval, sparse
+from sscurves.linops import (definition_field, lin, lin_compose, lin_eval,
+                             sparse)
 from sscurves.quotient import QuotientCurve, is_irreducible
 from sscurves.zeta import (CountSeries, InconsistentCounts, LPoly,
                            count_artin_schreier, count_points, count_series,
@@ -464,6 +465,81 @@ def test_additivity_reads_the_ladder_counts(monkeypatch):
     reused = formed["ladder"] & ambient
     assert reused and formed["additivity"]
     assert not formed["additivity"] & reused
+
+
+def random_quadratic_piece(rng, F):
+    """Seeded right-hand side with exponents of binary weight <= 2, of odd
+    reduced degree 2^u + 1 (the other terms reduce below it)."""
+    u = rng.randint(2, 4)
+    terms = {(1 << u) + 1: rng.randrange(1, F.order)}
+    for _ in range(rng.randint(0, 3)):
+        odd = rng.choice((0, 1, (1 << rng.randrange(1, u)) + 1))
+        e = odd << rng.randint(0, 3)
+        terms[e] = terms.get(e, 0) ^ rng.randrange(F.order)
+    return sparse(F, terms)
+
+
+def test_frobenius_conjugates_share_counts_and_class_key():
+    rng = random.Random(24)
+    for _ in range(40):
+        F = make_field(rng.randint(1, 6))
+        f = random_quadratic_piece(rng, F)
+        k = rng.randint(1, 3)
+        conjugates = [sparse(F, {e: F.frobenius(c, i) for e, c in f.terms})
+                      for i in range(F.degree)]
+        assert len({count_artin_schreier(g, k) for g in conjugates}) == 1, f
+        assert len({zeta._class_key(g) for g in conjugates}) == 1, f
+    # equal term tuples over different fields are different classes
+    F8 = make_field(3)
+    assert (zeta._class_key(sparse(F4, {3: 0b10}))
+            != zeta._class_key(sparse(F8, {3: 0b10})))
+
+
+def test_ladder_counts_once_per_class(monkeypatch):
+    # f2m g63 has 63 numeric pieces in 13 Frobenius classes
+    calls = []
+    series = zeta.count_series
+
+    def spy(curve, genus, budget=zeta.DEFAULT_BUDGET, kmax=None):
+        calls.append(curve)
+        return series(curve, genus, budget, kmax)
+
+    monkeypatch.setattr(zeta, "count_series", spy)
+    report = verify_supersingular(build_components(decompose(63)), kmax=2)
+    assert [p["mode"] for p in report.pieces] == ["numeric"] * 63
+    assert len(calls) == 13
+
+
+@pytest.mark.parametrize("budget", [zeta.DEFAULT_BUDGET,
+                                    Budget(log2_points=14)])
+def test_each_member_entry_equals_a_fresh_count(budget):
+    # every numeric entry, whether its class was counted for it or for an
+    # earlier member, equals the entry built from a fresh count of its piece
+    curves = _fixture_curves() + [
+        ("f2 g1000", build_prime_field(decompose(1000))),
+        ("f2m g1000", build_components(decompose(1000)))]
+    for name, curve in curves:
+        report = verify_supersingular(curve, budget)
+        if report.pieces[0]["label"] == "self":
+            rows = [(curve, None, report.genus)]
+        else:
+            rows = [(QuotientCurve(0, definition_field(rhs), p["genus"]),
+                     rhs, p["genus"])
+                    for (_, rhs, _), p in zip(zeta._pieces(curve, budget),
+                                              report.pieces)]
+        for entry, (piece, rhs, genus) in zip(report.pieces, rows):
+            if entry["mode"] != "numeric":
+                continue
+            series = count_series(piece, genus, budget)
+            L = lpoly_from_counts(series)
+            np_ok = newton_polygon(L, entry["field_degree"]).supersingular
+            pred_ok = all(predicted_count(L, k) == series.counts[k - 1]
+                          for k in range(genus + 1, len(series.counts) + 1))
+            assert entry == {
+                "label": entry["label"], "field_degree": piece.field.degree,
+                "genus": genus, "mode": "numeric", "lpoly": list(L.coeffs),
+                "supersingular": np_ok if rhs is None else np_ok and pred_ok,
+            }, (name, entry["label"])
 
 
 def test_lpoly_examples():

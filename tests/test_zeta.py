@@ -532,7 +532,7 @@ def test_each_member_entry_equals_a_fresh_count(budget):
                 continue
             series = count_series(piece, genus, budget)
             L = lpoly_from_counts(series)
-            np_ok = newton_polygon(L, entry["field_degree"]).supersingular
+            np_ok = newton_polygon(L, piece.field.degree).supersingular
             pred_ok = all(predicted_count(L, k) == series.counts[k - 1]
                           for k in range(genus + 1, len(series.counts) + 1))
             assert entry == {

@@ -302,6 +302,39 @@ def test_iso_and_radical(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["isomorphic"] is True
 
 
+def test_iso_and_radical_json_are_pinned(capsys, tmp_path):
+    # the README's r1.json and r2.json, byte for byte
+    field = '{"field": {"degree": 4, "modulus": "0x13"}, '
+    r1 = tmp_path / "r1.json"
+    r2 = tmp_path / "r2.json"
+    r1.write_text(field + '"coeffs": ["0x0", "0x0", "0x1"]}\n')
+    r2.write_text(field + '"coeffs": ["0x0", "0x0", "0x7"]}\n')
+    assert run(capsys, "iso", "--mode", "curves", str(r1), str(r2),
+               "--json") == (0, """{
+  "isomorphic": true,
+  "witness": "0x4",
+  "witness_field": {
+    "degree": 4,
+    "modulus": "0x13"
+  },
+  "mode": "curves"
+}
+""")
+    assert run(capsys, "radical", str(r1), "--json") == (0, """{
+  "ambient": {
+    "degree": 4,
+    "modulus": "0x13"
+  },
+  "basis": [
+    "0x1",
+    "0x2",
+    "0x4",
+    "0x8"
+  ]
+}
+""")
+
+
 def test_roundtrip_through_files(capsys, tmp_path):
     out_path = tmp_path / "c.json"
     rc, out = run(capsys, "construct", "--mode", "f2m", "30", "--json",

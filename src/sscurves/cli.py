@@ -104,12 +104,16 @@ def cmd_construct(args):
     cert = stratum_certificate(d)
     lines.append("genus certificate: %s, total %d"
                  % ([[c, g] for c, g in cert.strata], cert.total))
-    doc = jsonio.curve_to_json(curve, construction)
+    if args.json or args.out:   # one encoding for the file and stdout
+        text = jsonio.dumps(jsonio.curve_to_json(curve, construction))
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(jsonio.dumps(doc))
+            fh.write(text)
         lines.append("wrote %s" % args.out)
-    _emit(args, doc, lines)
+    if args.json:
+        sys.stdout.write(text)
+    else:
+        _emit(args, None, lines)
     return 0
 
 

@@ -4,10 +4,13 @@ Field elements serialize as lowercase hex of their bit vectors (bit i is
 the coefficient of gamma^i); linearized polynomials as coefficient lists
 indexed by i for x^(2^i); sparse polynomials as explicit term lists with
 exponents decreasing.  Documents re-serialize byte-identically after a
-parse, so fixtures can be compared with plain string equality.
+parse, so fixtures can be compared with plain string equality.  `dumps`
+writes json's indent-2 layout directly: CPython runs its C encoder only
+without indent, and its pure-Python encoder is several times slower.
 """
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .builder import CurveSpec, FibreProductSpec, stratum_certificate
@@ -18,7 +21,42 @@ from .linops import lin, sparse
 
 
 def dumps(doc):
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) plus a newline, byte for byte.
+
+    Strings are quoted by the C function json itself uses under ensure_ascii
+    and ints written by int.__repr__; any other leaf (a float, or a type JSON
+    lacks) goes to json.dumps, so its text or its TypeError stays json's.
+    """
+    return _text(doc, "\n") + "\n"
+
+
+def _text(o, pad):
+    """o as indent-2 JSON, pad being the newline and indent of its line."""
+    if type(o) is str:
+        return _quote(o)
+    if type(o) is int:
+        return int.__repr__(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        return "{%s%s%s}" % (inner, ("," + inner).join(
+            ["%s: %s" % (_quote(k) if type(k) is str
+                         else json.dumps({k: None})[1:-7], _text(v, inner))
+             for k, v in o.items()]), pad)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return "[%s%s%s]" % (inner, ("," + inner).join(
+            [_text(v, inner) for v in o]), pad)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    return json.dumps(o)
 
 
 def field_to_json(F):

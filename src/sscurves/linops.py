@@ -217,9 +217,6 @@ class SparsePoly:
                 return c
         return 0
 
-    def as_dict(self):
-        return dict(self.terms)
-
     def map_field(self, embedding):
         return sparse(embedding.ext, {e: embedding(c) for e, c in self.terms})
 
@@ -245,11 +242,6 @@ def sparse_add(f, g):
     for e, c in g.terms:
         acc[e] = acc.get(e, 0) ^ c
     return sparse(f.field, acc)
-
-
-def sparse_scale(c, f):
-    F = f.field
-    return sparse(F, {e: F.mul(c, a) for e, a in f.terms})
 
 
 def sparse_twist(f, k):

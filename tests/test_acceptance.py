@@ -29,6 +29,8 @@ from sscurves.zeta import (CountSeries, LPoly, check_functional_equation,
                            newton_polygon, powersum_additivity_check,
                            predicted_count, verify_supersingular)
 
+from sparse_helpers import as_dict
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 HALF = Fraction(1, 2)
 
@@ -49,7 +51,7 @@ def test_c01_fixture_genus_221(capsys):
     assert table == {"xR_1": "0", "xR_2": "x^9", "xR_3": "x^9", "xR_4": "0",
                      "xR_5": "x^9+x^5", "xR_6": "x^9+x^5+x^3"}
     c = build_prime_field(decompose(221))
-    assert c.derived_T().as_dict() == {e: 1 for e in
+    assert as_dict(c.derived_T()) == {e: 1 for e in
                                        (288, 160, 144, 96, 80, 36, 18)}
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -66,7 +68,7 @@ def test_c02_fixture_genus_30_glued(capsys):
     assert out.splitlines()[0] == "y^16+y = a^6*x^40+x^20+a^12*x^10+a^9*x^5"
     glued = glue_single_block(build_components(decompose(30)))
     a = 2
-    assert glued.derived_T().as_dict() == {
+    assert as_dict(glued.derived_T()) == {
         40: F16.pow(a, 6), 20: 1, 10: F16.pow(a, 12), 5: F16.pow(a, 9)}
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -163,7 +165,7 @@ def test_c06_hyperelliptic_family_property():
 
 def test_c07_known_elliptic_values():
     c = build_prime_field(decompose(1))
-    assert c.derived_T().as_dict() == {3: 1}
+    assert as_dict(c.derived_T()) == {3: 1}
     assert count_points(c, 1) == 3 and count_points(c, 2) == 9
     L = lpoly_from_counts(CountSeries(2, (3,), 1))
     assert L.coeffs == (1, 0, 2)

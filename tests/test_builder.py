@@ -10,8 +10,10 @@ from sscurves.builder import (FibreProductSpec, build_components,
 from sscurves.decomp import decompose
 from sscurves.field import _xor_rows, f2_span, make_field
 from sscurves.linops import (as_genus, as_reduce, lin, lin_add, sparse,
-                             sparse_add, sparse_scale, sparse_twist, times_x)
+                             sparse_add, sparse_twist, times_x)
 from sscurves import jsonio
+
+from sparse_helpers import as_dict, sparse_scale
 
 F2 = make_field(1)
 F16 = make_field(4)
@@ -21,13 +23,13 @@ A = 2
 def test_build_components_examples():
     spec = build_components(decompose(30))
     assert spec.field is F16
-    assert [f.as_dict() for f in spec.components] == [
+    assert [as_dict(f) for f in spec.components] == [
         {5: 1}, {5: A}, {5: F16.pow(A, 2)}, {5: F16.pow(A, 3)}]
     spec = build_components(decompose(1))
-    assert spec.field is F2 and [f.as_dict() for f in spec.components] == [{3: 1}]
+    assert spec.field is F2 and [as_dict(f) for f in spec.components] == [{3: 1}]
     spec = build_components(decompose(5))
     assert spec.field is F2
-    assert [f.as_dict() for f in spec.components] == [{3: 1}, {5: 1}]
+    assert [as_dict(f) for f in spec.components] == [{3: 1}, {5: 1}]
 
 
 def test_components_combinations_stay_odd():
@@ -157,7 +159,7 @@ def test_glue_genus30():
     assert glued.field is F16
     assert glued.S.coeffs == (1, 0, 0, 0, 1)
     T = glued.derived_T()
-    assert T.as_dict() == {40: F16.pow(A, 6), 20: 1,
+    assert as_dict(T) == {40: F16.pow(A, 6), 20: 1,
                            10: F16.pow(A, 12), 5: F16.pow(A, 9)}
     assert [R.coeffs for R in glued.R_list] == [
         (0, 0, F16.pow(A, 9)), (0, 0, F16.pow(A, 6)),
@@ -190,7 +192,7 @@ def test_glue_genus30_oracle():
         coeffs[10] ^= F.mul(aj, F.pow(A, 2 * j))
         coeffs[5] ^= F.mul(aj, aj)
     glued = glue_single_block(build_components(decompose(30)))
-    assert glued.derived_T().as_dict() == coeffs
+    assert as_dict(glued.derived_T()) == coeffs
     # and every single-block genus below 200 against the sparse expansion
     for g in range(1, 200):
         d = decompose(g)
@@ -202,11 +204,11 @@ def test_glue_genus30_oracle():
 
 def test_glue_small():
     g1 = glue_single_block(build_components(decompose(1)))
-    assert g1.S.coeffs == (1, 1) and g1.derived_T().as_dict() == {3: 1}
+    assert g1.S.coeffs == (1, 1) and as_dict(g1.derived_T()) == {3: 1}
     g3 = glue_single_block(build_components(decompose(3)))
     F4 = make_field(2)
     assert g3.field is F4 and g3.S.coeffs == (1, 0, 1)
-    assert g3.derived_T().as_dict() == {3: 2}
+    assert as_dict(g3.derived_T()) == {3: 2}
 
 
 def test_glue_rejects_multiblock():
@@ -217,20 +219,20 @@ def test_glue_rejects_multiblock():
 def test_prime_field_genus221():
     c = build_prime_field(decompose(221))
     assert c.S.coeffs == (1, 1, 1, 0, 1, 1, 1)   # y^64+y^32+y^16+y^4+y^2+y
-    tables = [times_x(R).as_dict() for R in c.R_list]
+    tables = [as_dict(times_x(R)) for R in c.R_list]
     assert tables == [{}, {9: 1}, {9: 1}, {}, {9: 1, 5: 1}, {9: 1, 5: 1, 3: 1}]
-    assert c.derived_T().as_dict() == {288: 1, 160: 1, 144: 1, 96: 1,
+    assert as_dict(c.derived_T()) == {288: 1, 160: 1, 144: 1, 96: 1,
                                        80: 1, 36: 1, 18: 1}
 
 
 def test_prime_field_small():
     c = build_prime_field(decompose(1))
-    assert c.S.coeffs == (1, 1) and c.derived_T().as_dict() == {3: 1}
+    assert c.S.coeffs == (1, 1) and as_dict(c.derived_T()) == {3: 1}
     c = build_prime_field(decompose(30))
-    assert c.S.coeffs == (1, 0, 0, 0, 1) and c.derived_T().as_dict() == {40: 1}
+    assert c.S.coeffs == (1, 0, 0, 0, 1) and as_dict(c.derived_T()) == {40: 1}
     c = build_prime_field(decompose(5))
     assert c.S.coeffs == (1, 0, 1)
-    assert c.derived_T().as_dict() == {10: 1, 6: 1, 5: 1}
+    assert as_dict(c.derived_T()) == {10: 1, 6: 1, 5: 1}
 
 
 def test_prime_field_coefficients_are_bits():

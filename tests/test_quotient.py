@@ -12,11 +12,13 @@ from sscurves.field import (_xor_rows, embedding_into, extend_and_embed,
                             make_field, pgcd)
 from sscurves.jsonio import load_curve
 from sscurves.limits import CapacityError
-from sscurves.linops import (as_reduce, lin, lin_add, lin_eval, lin_kernel,
-                             lin_scale, lin_twist, sparse_scale,
+from sscurves.linops import (as_genus, as_reduce, lin, lin_add, lin_eval,
+                             lin_kernel, lin_scale, lin_twist,
                              splitting_degree)
 from sscurves.quotient import (decomposition, dual_equation, is_irreducible,
                                quotient_curve, solve_alpha_space, split)
+
+from sparse_helpers import as_dict, sparse_scale
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -123,21 +125,21 @@ def test_quotient_examples():
     space = solve_alpha_space(c)
     for alpha in space.members():
         q = quotient_curve(c, alpha, space)
-        assert q.rhs.as_dict() == {3: alpha} and q.genus == 1
+        assert as_dict(q.rhs) == {3: alpha} and q.genus == 1
     # g=30 prime field: quotients alpha x^5 of genus 2
     c = build_prime_field(decompose(30))
     space = solve_alpha_space(c)
     quots = [quotient_curve(c, a, space) for a in space.members()]
     assert len(quots) == 15
-    assert all(q.rhs.as_dict() == {5: q.alpha} and q.genus == 2 for q in quots)
+    assert all(as_dict(q.rhs) == {5: q.alpha} and q.genus == 2 for q in quots)
     # g=5: alpha = 1 gives x^3; alpha outside F_2 gives x^5 + alpha x^3
     c = build_prime_field(decompose(5))
     space = solve_alpha_space(c)
     q = quotient_curve(c, 1, space)
-    assert q.rhs.as_dict() == {3: 1} and q.genus == 1
+    assert as_dict(q.rhs) == {3: 1} and q.genus == 1
     for alpha in (2, 3):
         q = quotient_curve(c, alpha, space)
-        assert q.rhs.as_dict() == {5: 1, 3: alpha} and q.genus == 2
+        assert as_dict(q.rhs) == {5: 1, 3: alpha} and q.genus == 2
 
 
 def test_quotient_rejects_bad_alpha():
@@ -303,6 +305,19 @@ def test_decomposition_is_the_per_alpha_path():
                            for mask in range(1, 1 << space.dim)]
         assert decomposition(c) == [quotient_curve(c, a, space)
                                     for a in members], c
+
+
+def test_decomposition_members_are_reduced_with_their_genus():
+    # decomposition reads each genus off the degree of an unreduced-again sum
+    curves = [load_curve(os.path.join(FIXTURES, f))
+              for f in sorted(os.listdir(FIXTURES)) if f.endswith(".json")]
+    curves = [c for c in curves if isinstance(c, CurveSpec)]
+    assert len(curves) == 5
+    curves += [build_prime_field(decompose(g)) for g in (1023, 4096)]
+    for c in curves:
+        for p in decomposition(c):
+            assert p.rhs == as_reduce(p.rhs), p.alpha
+            assert p.genus == as_genus(p.rhs), p.alpha
 
 
 def test_decomposition_genus221_strata():

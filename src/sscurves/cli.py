@@ -110,10 +110,7 @@ def cmd_construct(args):
         with open(args.out, "w") as fh:
             fh.write(text)
         lines.append("wrote %s" % args.out)
-    if args.json:
-        sys.stdout.write(text)
-    else:
-        _emit(args, None, lines)
+    sys.stdout.write(text if args.json else "\n".join(lines) + "\n")
     return 0
 
 

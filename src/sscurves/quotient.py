@@ -160,9 +160,8 @@ def decomposition(c, max_degree=DEFAULT_MAX_DEGREE):
     Reduction is F_2-linear (c x^(2e) -> sqrt(c) x^e term by term), so the
     reduced right-hand side of alpha + beta is the sum of those of alpha and
     beta, and a sum of reduced polynomials (odd exponents and a constant) is
-    already reduced.  So each genus is read off the reduced degree d as
-    (d - 1)/2: no member is reduced again.  The genera of the list sum to
-    the genus of c.
+    already reduced, so each genus is read off its degree d as (d - 1)/2.
+    The genera of the list sum to the genus of c.
     """
     if not is_irreducible(c):
         raise ValueError("curve is reducible: decomposition undefined")

@@ -6,7 +6,7 @@ indexed by i for x^(2^i); sparse polynomials as explicit term lists with
 exponents decreasing.  Documents re-serialize byte-identically after a
 parse, so fixtures can be compared with plain string equality.  `dumps`
 writes json's indent-2 layout directly: CPython runs its C encoder only
-without indent, and its pure-Python encoder is several times slower.
+without indent, and its pure-Python encoder takes about twice as long.
 """
 
 import json
@@ -41,7 +41,7 @@ def _text(o, pad):
             return "{}"
         inner = pad + "  "
         return "{%s%s%s}" % (inner, ("," + inner).join(
-            ["%s: %s" % (_quote(k) if type(k) is str
+            ["%s: %s" % (_quote(k) if type(k) is str  # else json's "1", "null"
                          else json.dumps({k: None})[1:-7], _text(v, inner))
              for k, v in o.items()]), pad)
     if isinstance(o, (list, tuple)):

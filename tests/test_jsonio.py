@@ -18,7 +18,7 @@ SCALARS = st.one_of(st.text(CHARS, max_size=8),
 
 
 def nested(depth):
-    """Dicts, lists and tuples nested up to depth levels, empty ones included."""
+    """Dicts, lists and tuples nested to depth levels, empty ones included."""
     kids = SCALARS if depth == 1 else st.one_of(SCALARS, nested(depth - 1))
     return st.one_of(st.dictionaries(st.text(CHARS, max_size=6), kids,
                                      max_size=4),

@@ -41,8 +41,9 @@ def _text(o, pad):
             return "{}"
         inner = pad + "  "
         return "{%s%s%s}" % (inner, ("," + inner).join(
-            ["%s: %s" % (_quote(k) if type(k) is str  # else json's "1", "null"
-                         else json.dumps({k: None})[1:-7], _text(v, inner))
+            ["%s: %s" % (_quote(k) if type(k) is str
+                         else json.dumps({k: None})[1:-7],  # json's key text
+                         _text(v, inner))
              for k, v in o.items()]), pad)
     if isinstance(o, (list, tuple)):
         if not o:

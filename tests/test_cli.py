@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -126,6 +127,20 @@ def test_verify_additivity_past_the_ladder_is_pinned(capsys):
     with open(os.path.join(FIXTURES, "expected",
                            "g63_f2m.verify-k4.json")) as fh:
         assert (rc, out) == (0, fh.read())
+
+
+def test_verify_at_the_frontier_is_pinned(capsys, tmp_path):
+    # g16383_f2 has 16,383 pieces in 1,181 Frobenius classes, most of them
+    # certified, and its additivity check is skipped; its 2.7 MB report is
+    # pinned by sha256
+    curve = str(tmp_path / "g16383_f2.json")
+    assert run(capsys, "construct", "--mode", "f2", "16383",
+               "--out", curve)[0] == 0
+    rc, out = run(capsys, "verify", "--json", curve)
+    with open(os.path.join(FIXTURES, "expected",
+                           "g16383_f2.verify.sha256")) as fh:
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (
+            0, fh.read().strip())
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -11,14 +11,13 @@ __version__ = "0.1.0"
 
 from .decomp import GenusDecomposition, decompose, moduli_lower_bound
 from .field import (BinaryField, FieldEmbedding, embedding_into,
-                    extend_and_embed, f2_linear_solve, make_field)
+                    extend_and_embed, make_field)
 from .linops import (LinPoly, SparsePoly, as_genus, as_reduce, lin,
-                     lin_add, lin_compose, lin_eval, lin_kernel, lin_twist,
-                     sparse, splitting_degree, times_x)
+                     lin_add, lin_eval, lin_kernel, lin_twist, sparse,
+                     splitting_degree, times_x)
 from .builder import (CurveSpec, FibreProductSpec, GenusCertificate,
                       build_components, build_prime_field, certificate,
-                      glue_single_block, stratum_certificate,
-                      to_standard_form)
+                      glue_single_block, stratum_certificate)
 from .quotient import (AlphaSpace, QuotientCurve, SplitData, decomposition,
                        is_irreducible, quotient_curve, solve_alpha_space,
                        split)

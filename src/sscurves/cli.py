@@ -49,12 +49,11 @@ def _positive(text):
     return value
 
 
-def _emit(args, doc, human_lines=None):
-    if args.json or human_lines is None:
+def _emit(args, doc, human_lines):
+    if args.json:
         sys.stdout.write(jsonio.dumps(doc))
     else:
-        for line in human_lines:
-            print(line)
+        print("\n".join(human_lines))
 
 
 def cmd_decompose(args):
@@ -170,9 +169,6 @@ def cmd_verify(args):
         _emit(args, doc, ["FAIL: %s" % ex])
         return 1
     doc = jsonio.report_to_json(report)
-    if single and kmax is None:
-        # the ladder reports irreducibility along with the additivity check
-        doc["checks"]["irreducible"] = True
     failures = []
     if report.supersingular is False:
         failures.append("newton polygon rejects supersingularity")

@@ -113,23 +113,6 @@ def lin_twist(R, k):
     return lin(F, [0] * k + [F.frobenius(a, k) for a in R.coeffs])
 
 
-def lin_compose(R, S):
-    """R(S(x))."""
-    if R.field != S.field:
-        raise ValueError("field mismatch")
-    F = R.field
-    if R.is_zero() or S.is_zero():
-        return lin(F, [])
-    out = [0] * (len(R.coeffs) + len(S.coeffs) - 1)
-    for i, a in enumerate(R.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(S.coeffs):
-            if b:
-                out[i + j] ^= F.mul(a, F.frobenius(b, i))
-    return lin(F, out)
-
-
 def lin_rmod(R, S):
     """The right remainder of R by nonzero S: R = Q(S(x)) + rem, rem.h < S.h.
 

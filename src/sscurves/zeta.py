@@ -33,11 +33,11 @@ when its counts fit the budget, else its quotient pieces over their fields
 of definition, else, past the splitting field's capacity, its strata.  One
 route function picks each entry's check: counted, rational, or, for a piece
 beyond the budget of the hyperelliptic shape w^2 + w = x R(x), certified
-without a recount.  Pieces are counted once per Frobenius class: a
-right-hand side and its coefficient-wise conjugates over the same field
-have the same counts at every k, since x -> x^2 carries the points of one
-onto the other.  Power-sum additivity compares the curve's counts with the
-pieces', reusing the ladder's counts of each class within one call.
+without a recount.  Pieces are keyed once into a table of Frobenius
+classes: a right-hand side and its coefficient-wise conjugates have the
+same counts at every k, since x -> x^2 carries the points of one onto the
+other, so only a class's first member is checked, and power-sum additivity
+weighs each class by its member count, reading the ladder's counts of it.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -320,13 +320,38 @@ def _trace_rows(ext, s, length):
 
 
 def _class_key(rhs):
-    """rhs's field and the least of its coefficient-wise conjugates over it."""
-    F, terms = rhs.field, rhs.terms
-    least = terms
-    for _ in range(F.degree - 1):
-        terms = tuple((e, F.sqr(c)) for e, c in terms)
-        least = min(least, terms)
-    return F, least
+    """rhs's field and the least of its coefficient-wise conjugates over it;
+    the chain of conjugates returns to rhs, and stops, after d squarings,
+    d the degree of rhs's field of definition."""
+    F = rhs.field
+    exps, coeffs = zip(*rhs.terms)
+    chain = [coeffs]
+    for _ in range(F.degree):
+        coeffs = tuple(map(F.sqr, coeffs))
+        if coeffs == chain[0]:
+            break
+        chain.append(coeffs)
+    return F, tuple(zip(exps, min(chain)))
+
+
+@dataclass(slots=True)
+class _Class:
+    """A Frobenius class: its first member's rhs (None: the curve), counts
+    over the pieces' field, report entry without a label, and verdict."""
+
+    rhs: object
+    counts: list
+    entry: dict = None
+    verdict: object = None
+    members: int = 0
+
+
+def _classes(pieces):
+    """Class key -> _Class of (label, rhs, genus) pieces, each keyed once."""
+    classes = {}
+    for _, rhs, _ in pieces:
+        classes.setdefault(_class_key(rhs), _Class(rhs, [])).members += 1
+    return classes
 
 
 def count_series(curve, genus, budget=DEFAULT_BUDGET, kmax=None):
@@ -389,12 +414,6 @@ def power_sums(L, kmax):
 def predicted_count(L, k):
     """Point count over the degree-k extension implied by L."""
     return L.q ** k + 1 - power_sums(L, k)[k - 1]
-
-
-def check_functional_equation(L):
-    g = L.genus
-    return all(L.coeffs[2 * g - i] == L.q ** (g - i) * L.coeffs[i]
-               for i in range(g + 1))
 
 
 def _v2(n):
@@ -463,67 +482,33 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
     The entries are the curve itself ("self") when its ``ladder_route`` is
     numeric, else its quotient pieces over their fields of definition, each
     along its own route, else (the splitting field out of capacity) its
-    strata, certified.  A piece is counted, interpolated and checked once
-    per Frobenius class (``_class_key``); later members reuse the results.
-    With kmax the report adds power-sum additivity for k = 1..kmax, which
-    reads the ladder's counts of each class.
+    strata, certified.  Pieces are keyed once into a table of Frobenius
+    classes (``_class_key``); each class's first member is checked, and its
+    entry and verdict stand for every member.  With kmax the report adds
+    power-sum additivity for k = 1..kmax over the same table.
     """
     genus, N = genus_and_degree(curve)
     report = VerificationReport(genus=genus, supersingular=True)
     route = ladder_route(genus, N, None, budget)
     pieces = None if route else _pieces(curve, budget)
-    classes = {}        # class key (None: the curve) -> series, L, NP, pred_ok
-    counted = {}        # piece class key -> the ladder's counts of it
+    classes = {}        # class key (None: the curve) -> _Class
     if route == "rational":
         report.checks["rational"] = True    # the zero abelian variety
     elif route == "numeric" or pieces is not None:
-        verdicts = []
         for label, rhs, gp in pieces or [("self", None, genus)]:
-            entry_curve = curve
-            if rhs is not None:
-                rhs = definition_field(rhs)
-                stratum_genus, gp = gp, as_genus(rhs)
-                assert stratum_genus in (None, gp)
-                entry_curve = QuotientCurve(0, rhs, gp)
-            d = entry_curve.field.degree
-            mode = ladder_route(gp, d, rhs, budget)
-            entry = {"label": label, "field_degree": d, "genus": gp,
-                     "mode": mode}
-            if mode == "numeric":
-                key = None if rhs is None else _class_key(rhs)
-                if key not in classes:
-                    series = count_series(entry_curve, gp, budget)
-                    L = lpoly_from_counts(series)
-                    classes[key] = series, L, newton_polygon(L, d), all(
-                        predicted_count(L, k) == series.counts[k - 1]
-                        for k in range(gp + 1, len(series.counts) + 1))
-                series, L, np_report, pred_ok = classes[key]
-                verdict = bool(np_report.supersingular and pred_ok)
-                # the curve's own entry shows the Newton polygon's verdict
-                entry["supersingular"] = (
-                    np_report.supersingular if rhs is None else verdict)
-                entry["lpoly"] = list(L.coeffs)
-                if rhs is None:
-                    report.lpoly, report.slopes = L, np_report.slopes
-                    report.checks["weil_bounds"] = True
-                    report.checks["functional_equation_predictions"] = pred_ok
-                    report.checks["lpoly_degree"] = len(L.coeffs) - 1 == 2 * gp
-                else:
-                    counted[key] = list(series.counts)
-            elif mode is None:
-                raise CapacityError("piece %s exceeds the budget and has no "
-                                    "certifiable shape" % label)
-            else:
-                verdict = entry["supersingular"] = (
-                    True if mode == "rational" else "certified")
-            verdicts.append(verdict)
-            report.pieces.append(entry)
+            key = None if rhs is None else _class_key(rhs)
+            cls = classes.get(key)
+            if cls is None:
+                cls = classes[key] = _ladder_class(curve, label, rhs, gp,
+                                                   budget, report)
+            cls.members += 1
+            report.pieces.append({"label": label, **cls.entry})
         if pieces is not None:
-            report.checks["piece_genus_total"] = (
-                sum(p["genus"] for p in report.pieces) == genus)
-        if any(v is False for v in verdicts):
+            report.checks["piece_genus_total"] = genus == sum(
+                c.members * c.entry["genus"] for c in classes.values())
+        if any(c.verdict is False for c in classes.values()):
             report.supersingular = False
-        elif not all(v is True for v in verdicts):
+        elif not all(c.verdict is True for c in classes.values()):
             report.supersingular = "certified"
     else:
         for (u, _), (count, gp) in zip(curve.strata,
@@ -536,19 +521,60 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
         report.checks["stratum_genus_total"] = (
             sum(p["count"] * p["genus"] for p in report.pieces) == genus)
         report.supersingular = "certified"
+    if isinstance(curve, CurveSpec):
+        report.checks["irreducible"] = True     # genus_and_degree checked
     if kmax is not None:
-        if isinstance(curve, CurveSpec):
-            report.checks["irreducible"] = True     # genus_and_degree checked
         try:
             if route:       # the ladder split off no pieces
                 pieces = _pieces(curve, budget)
-            ok = _additive(curve, pieces, kmax, budget, counted)
+                classes = _classes(pieces or ())
+            ok = _additive(curve, pieces, kmax, budget, classes)
         except (BudgetError, CapacityError):
             ok = "skipped (budget)"
         except ValueError as ex:
             raise AdditivityError(str(ex)) from ex
         report.checks["powersum_additivity"] = ok
     return report
+
+
+def _ladder_class(curve, label, rhs, gp, budget, report):
+    """The checked _Class of a first member rhs (None: the curve): a piece is
+    counted over its field F_2^d, so every (M/d)-th count is over F_2^M."""
+    entry_curve, piece, counts = curve, None, []
+    if rhs is not None:
+        piece = definition_field(rhs)
+        stratum_genus, gp = gp, as_genus(piece)
+        assert stratum_genus in (None, gp)
+        entry_curve = QuotientCurve(0, piece, gp)
+    d = entry_curve.field.degree
+    mode = ladder_route(gp, d, piece, budget)
+    entry = {"field_degree": d, "genus": gp, "mode": mode}
+    if mode == "numeric":
+        series = count_series(entry_curve, gp, budget)
+        L = lpoly_from_counts(series)
+        np_report = newton_polygon(L, d)
+        pred_ok = all(predicted_count(L, k) == series.counts[k - 1]
+                      for k in range(gp + 1, len(series.counts) + 1))
+        verdict = bool(np_report.supersingular and pred_ok)
+        # the curve's own entry shows the Newton polygon's verdict
+        entry["supersingular"] = (
+            np_report.supersingular if rhs is None else verdict)
+        entry["lpoly"] = list(L.coeffs)
+        if rhs is None:
+            report.lpoly, report.slopes = L, np_report.slopes
+            report.checks["weil_bounds"] = True
+            report.checks["functional_equation_predictions"] = pred_ok
+            report.checks["lpoly_degree"] = len(L.coeffs) - 1 == 2 * gp
+        else:
+            step = rhs.field.degree // d
+            counts = list(series.counts[step - 1::step])
+    elif mode is None:
+        raise CapacityError("piece %s exceeds the budget and has no "
+                            "certifiable shape" % label)
+    else:
+        verdict = entry["supersingular"] = (
+            True if mode == "rational" else "certified")
+    return _Class(rhs, counts, entry, verdict)
 
 
 def genus_and_degree(curve):
@@ -578,32 +604,28 @@ def powersum_additivity_check(curve, kmax, budget=DEFAULT_BUDGET):
     every k = 1..kmax:  count(C) - (Q+1)  =  sum_pieces (count(piece) - (Q+1)).
     """
     _check_irreducible(curve)
-    return _additive(curve, _pieces(curve, budget), kmax, budget, {})
+    pieces = _pieces(curve, budget)
+    return _additive(curve, pieces, kmax, budget, _classes(pieces or ()))
 
 
-def _additive(curve, pieces, kmax, budget, counted):
-    """Additivity over pieces (None: out of capacity), reading counted[key].
-
-    counted maps a piece's class key to its counts for k = 1, 2, ...; a
-    class's first member counts each k missing there, and later members
-    read it.
-    """
+def _additive(curve, pieces, kmax, budget, classes):
+    """Additivity over pieces (None: out of capacity) and their classes:
+    each _Class adds members * (count_k - (Q+1)), counting on its first
+    member each k missing from its counts over the pieces' field."""
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     if pieces is None:
         raise CapacityError("quotient pieces exceed the degree bound")
     M = pieces[0][1].field.degree if pieces else curve.field.degree
     scale = M // curve.field.degree
-    keys = [_class_key(rhs) for _, rhs, _ in pieces]
     for k in range(1, kmax + 1):
         Q = 1 << (M * k)
         lhs = count_points(curve, scale * k, budget) - (Q + 1)
         rhs_sum = 0
-        for (_, rhs, _), key in zip(pieces, keys):
-            counts = counted.setdefault(key, [])
-            if len(counts) < k:
-                counts.append(count_artin_schreier(rhs, k, budget))
-            rhs_sum += counts[k - 1] - (Q + 1)
+        for cls in classes.values():
+            if len(cls.counts) < k:
+                cls.counts.append(count_artin_schreier(cls.rhs, k, budget))
+            rhs_sum += cls.members * (cls.counts[k - 1] - (Q + 1))
         if lhs != rhs_sum:
             return False
     return True

@@ -24,11 +24,12 @@ from sscurves.field import embedding_into, make_field
 from sscurves.limits import Budget
 from sscurves.linops import as_genus, lin, times_x
 from sscurves.quotient import QuotientCurve, decomposition, is_irreducible
-from sscurves.zeta import (CountSeries, LPoly, check_functional_equation,
-                           count_points, count_series, lpoly_from_counts,
-                           newton_polygon, powersum_additivity_check,
-                           predicted_count, verify_supersingular)
+from sscurves.zeta import (CountSeries, LPoly, count_points, count_series,
+                           lpoly_from_counts, newton_polygon,
+                           powersum_additivity_check, predicted_count,
+                           verify_supersingular)
 
+from poly_helpers import check_functional_equation
 from sparse_helpers import as_dict
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from sscurves import gf2x
 from sscurves.field import embedding_into, make_field, pmod, psqr, ptrim
 from sscurves.limits import CapacityError
-from sscurves.linops import (as_genus, as_reduce, lin, lin_add, lin_compose,
-                             lin_eval, lin_images, lin_kernel, lin_monomial,
+from sscurves.linops import (as_genus, as_reduce, lin, lin_add, lin_eval,
+                             lin_images, lin_kernel, lin_monomial,
                              lin_rmod, lin_twist,
                              definition_field, sparse, sparse_add,
                              sparse_twist, splitting_degree, times_x)
 
+from poly_helpers import lin_compose
 from sparse_helpers import as_dict
 
 F2 = make_field(1)

@@ -13,14 +13,15 @@ from sscurves.decomp import decompose
 from sscurves.field import F2LinearMap, extend_and_embed, make_field
 from sscurves.gf2x import smallest_irreducible
 from sscurves.limits import Budget, BudgetError, CapacityError
-from sscurves.linops import (definition_field, lin, lin_compose, lin_eval,
-                             sparse)
+from sscurves.linops import definition_field, lin, lin_eval, sparse
 from sscurves.quotient import QuotientCurve, is_irreducible
 from sscurves.zeta import (CountSeries, InconsistentCounts, LPoly,
                            count_artin_schreier, count_points, count_series,
-                           check_functional_equation, lpoly_from_counts,
-                           newton_polygon, powersum_additivity_check,
-                           predicted_count, verify_supersingular)
+                           lpoly_from_counts, newton_polygon,
+                           powersum_additivity_check, predicted_count,
+                           verify_supersingular)
+
+from poly_helpers import check_functional_equation, lin_compose
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -450,11 +451,11 @@ def test_additivity_reads_the_ladder_counts(monkeypatch):
             formed[phase[0]].add(counting[-1])
         return form(F, terms)
 
-    def additive_spy(curve, pieces, kmax, budget, counted):
+    def additive_spy(curve, pieces, kmax, budget, classes):
         phase[0] = "additivity"
         ambient.update((rhs, k) for _, rhs, _ in pieces
                        for k in range(1, kmax + 1))
-        return additive(curve, pieces, kmax, budget, counted)
+        return additive(curve, pieces, kmax, budget, classes)
 
     monkeypatch.setattr(zeta, "count_artin_schreier", count_spy)
     monkeypatch.setattr(zeta, "_quadratic_form", form_spy)
@@ -508,6 +509,94 @@ def test_ladder_counts_once_per_class(monkeypatch):
     report = verify_supersingular(build_components(decompose(63)), kmax=2)
     assert [p["mode"] for p in report.pieces] == ["numeric"] * 63
     assert len(calls) == 13
+
+
+@pytest.mark.parametrize("build, expected", [
+    # 63 pieces in 13 classes, every class counted
+    (lambda: build_components(decompose(63)),
+     {"_class_key": 63, "definition_field": 13, "as_genus": 13,
+      "ladder_route": 14, "count_series": 13}),
+    # 16,383 pieces in 1,181 classes, 20 of them counted
+    (lambda: build_prime_field(decompose(16383)),
+     {"_class_key": 16383, "definition_field": 1181, "as_genus": 1181,
+      "ladder_route": 1182, "count_series": 20}),
+], ids=["f2m_g63", "f2_g16383"])
+def test_each_piece_is_keyed_once_and_each_class_checked_once(
+        monkeypatch, build, expected):
+    # one key per piece, the additivity check included; only a class's
+    # first member is descended, given its genus, routed and counted, and
+    # the curve itself is routed once more
+    curve = build()
+    calls = dict.fromkeys(expected, 0)
+
+    def spy(fn_name, fn):
+        def counted(*args, **kwargs):
+            calls[fn_name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for fn_name in expected:
+        monkeypatch.setattr(zeta, fn_name,
+                            spy(fn_name, getattr(zeta, fn_name)))
+    verify_supersingular(curve, kmax=2)
+    assert calls == expected
+
+
+def test_report_says_irreducible_for_single_equation_curves_only():
+    # the ladder's checks, then irreducibility, then additivity when asked
+    single = build_prime_field(decompose(5))
+    product = build_components(decompose(63))
+    assert isinstance(product, FibreProductSpec)
+    ladder = ["weil_bounds", "functional_equation_predictions",
+              "lpoly_degree"]
+    assert list(verify_supersingular(single).checks) == ladder + [
+        "irreducible"]
+    assert list(verify_supersingular(single, kmax=2).checks) == ladder + [
+        "irreducible", "powersum_additivity"]
+    assert "irreducible" not in verify_supersingular(product).checks
+    assert "irreducible" not in verify_supersingular(product, kmax=2).checks
+
+
+def test_class_key_chain_stops_at_the_field_of_definition(monkeypatch):
+    # the chain of conjugates returns to rhs after d squarings, d the degree
+    # of rhs's field of definition, and goes no further
+    squarings = [0]
+    sqr = field.BinaryField.sqr
+
+    def spy(F, a):
+        squarings[0] += 1
+        return sqr(F, a)
+
+    monkeypatch.setattr(field.BinaryField, "sqr", spy)
+    curves = _fixture_curves() + [
+        ("f2 g16383", build_prime_field(decompose(16383)))]
+    degrees = set()
+    for name, curve in curves:
+        for label, rhs, _ in zeta._pieces(curve, zeta.DEFAULT_BUDGET):
+            d = definition_field(rhs).field.degree
+            squarings[0] = 0
+            zeta._class_key(rhs)
+            assert squarings[0] == d * len(rhs.terms), (name, label)
+            degrees.add((d, rhs.field.degree))
+    assert any(d < n for d, n in degrees)
+
+
+def test_additivity_weighs_each_class_by_its_members():
+    # the classes' members are the pieces, and the check over the classes
+    # holds where the sum over every piece, each counted on its own, holds
+    several = False
+    for name, curve in _fixture_curves():
+        pieces = zeta._pieces(curve, zeta.DEFAULT_BUDGET)
+        classes = zeta._classes(pieces)
+        assert sum(c.members for c in classes.values()) == len(pieces), name
+        several |= len(classes) < len(pieces)
+        M = pieces[0][1].field.degree
+        Q = 1 << M
+        assert (count_points(curve, M // curve.field.degree) - (Q + 1)
+                == sum(count_artin_schreier(rhs, 1) - (Q + 1)
+                       for _, rhs, _ in pieces)), name
+        assert powersum_additivity_check(curve, 1) is True, name
+    assert several
 
 
 @pytest.mark.parametrize("budget", [zeta.DEFAULT_BUDGET,

@@ -15,29 +15,25 @@ For a single block the fibre product can also be glued into one equation
 over F_{2^m} (``glue_single_block``).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
-from .field import BinaryField, _echelonize, f2_span, make_field
+from .field import _echelonize, f2_span, make_field
 from .limits import DEFAULT_MAX_DEGREE
-from .linops import (LinPoly, SparsePoly, as_reduce, lin, lin_add,
-                     lin_monomial, lin_rmod, lin_twist, sparse, sparse_add,
-                     sparse_twist, times_x)
+from .linops import (as_reduce, lin, lin_add, lin_monomial, lin_rmod,
+                     lin_twist, sparse, sparse_add, sparse_twist, times_x)
 from .quotient import column_poly, dual_equation
 
 
-@dataclass(frozen=True)
-class FibreProductSpec:
-    """Fibre product of the covers y_j^2 + y_j = f_j over one base field.
+class FibreProductSpec(namedtuple("FibreProductSpec", "field components")):
+    """Fibre product of the covers y_j^2 + y_j = f_j over one base field,
+    the components being the SparsePoly right-hand sides f_1..f_k.
 
     Its rank and strata, computed once, are those of the F_2-span of the f_j
     modulo constants (``span_strata``).  The rank is below the weight exactly
     when some combination reduces to a constant: the product is then not a
     geometrically irreducible curve.
     """
-
-    field: BinaryField
-    components: tuple      # SparsePoly right-hand sides f_1..f_k
 
     @property
     def weight(self):
@@ -52,16 +48,13 @@ class FibreProductSpec:
         return span_strata(self.components)
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(namedtuple("CurveSpec", "field S R_list")):
     """Single-equation curve S(y) = x R_1 + (x R_2)^2 + ... + (x R_n)^(2^(n-1)).
 
-    Its strata are those of its quotients, computed once (``equation_strata``).
+    S is monic of 2-degree n with A_0 != 0; R_list holds the n LinPolys R_k,
+    zeros allowed, not all zero.  Its strata are those of its quotients,
+    computed once (``equation_strata``).
     """
-
-    field: BinaryField
-    S: LinPoly             # monic, A_0 != 0, 2-degree n
-    R_list: tuple          # n entries, zeros allowed, not all zero
 
     @property
     def n(self):
@@ -91,12 +84,10 @@ class CurveSpec:
         return self
 
 
-@dataclass(frozen=True)
-class GenusCertificate:
+class GenusCertificate(namedtuple("GenusCertificate", "strata total")):
     """Per-stratum genus bookkeeping: (member count, genus of each member)."""
 
-    strata: tuple
-    total: int
+    __slots__ = ()
 
 
 def stratum_rows(strata):

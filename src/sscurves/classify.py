@@ -10,29 +10,24 @@ For h = 1 the same relation classifies the curves as Artin-Schreier covers
 of the line, and the verdict is labelled accordingly.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .field import (BinaryField, _echelonize, extend_and_embed, f2_span,
-                    poly_roots)
+from .field import _echelonize, extend_and_embed, f2_span, poly_roots
 from .linops import lin, lin_add, lin_kernel, splitting_degree
 from .limits import DEFAULT_MAX_DEGREE, CapacityError
 
 
-@dataclass(frozen=True)
-class IsoWitness:
-    """A scaling witness rho (x -> rho x) in a stated extension field."""
+class IsoWitness(namedtuple("IsoWitness", "rho field mode")):
+    """A scaling witness rho (x -> rho x) in a stated extension field; mode
+    is "curves", "as-covers" or "covers"."""
 
-    rho: int
-    field: BinaryField
-    mode: str  # "curves" | "as-covers" | "covers"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RadicalBasis:
+class RadicalBasis(namedtuple("RadicalBasis", "ambient basis")):
     """F_2-basis of the root space of the invariant polynomial of R."""
 
-    ambient: BinaryField
-    basis: tuple
+    __slots__ = ()
 
 
 def e_poly(R):

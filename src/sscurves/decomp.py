@@ -10,17 +10,20 @@ least one zero bit, i.e. s_i >= s_{i-1} + r_{i-1} + 2).  Both curve
 constructions are driven entirely by this decomposition.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class GenusDecomposition:
-    g: int
-    blocks: tuple          # ((s_i, r_i), ...) in increasing-s order
-    w: int                 # binary weight of g = sum of r_i + 1
-    m: int                 # widest block: max(r_i + 1)
-    u: tuple               # u_i = (s_i + 1) - sum_{j<i} (r_j + 1)
-    moduli_bound: int      # sum (r_i+1) u_i - 1; None for g < 2
+class GenusDecomposition(namedtuple("GenusDecomposition",
+                                    "g blocks w m u moduli_bound")):
+    """The blocks of g and their invariants.
+
+    blocks holds ((s_i, r_i), ...) in increasing-s order; w is the binary
+    weight of g, the sum of r_i + 1; m is the widest block, max(r_i + 1);
+    u_i = (s_i + 1) - sum_{j<i} (r_j + 1); and moduli_bound is
+    sum (r_i+1) u_i - 1, or None for g < 2.
+    """
+
+    __slots__ = ()
 
     @property
     def t(self):

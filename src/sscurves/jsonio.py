@@ -69,7 +69,9 @@ def field_from_json(obj, max_degree=DEFAULT_MAX_DEGREE):
     before the modulus is tested for irreducibility."""
     _need(obj, "field", ("degree", "modulus"))
     degree = obj["degree"]
-    if isinstance(degree, int) and degree > max_degree:
+    if type(degree) is not int:         # true would pass isinstance(_, int)
+        raise ValueError("bad field degree %r" % (degree,))
+    if degree > max_degree:
         raise CapacityError("field degree %d exceeds bound %d"
                             % (degree, max_degree))
     try:
@@ -111,7 +113,7 @@ def sparse_from_json(obj, F):
     terms = {}
     for t in obj["terms"]:
         _need(t, "term", ("exp", "coeff"))
-        if not isinstance(t["exp"], int) or t["exp"] < 0:
+        if type(t["exp"]) is not int or t["exp"] < 0:     # true, as above
             raise ValueError("bad exponent %r" % (t["exp"],))
         terms[t["exp"]] = terms.get(t["exp"], 0) ^ elem_from_json(t["coeff"], F)
     return sparse(F, terms)

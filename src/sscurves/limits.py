@@ -9,7 +9,7 @@ can be overridden per call or through the environment (see the command
 line driver).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Largest ambient field degree constructed by default.
 DEFAULT_MAX_DEGREE = 64
@@ -26,12 +26,11 @@ class BudgetError(RuntimeError):
     """A requested point count exceeds the budget."""
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(namedtuple("Budget", "log2_points max_degree",
+                        defaults=(DEFAULT_LOG2_POINTS, DEFAULT_MAX_DEGREE))):
     """Resource bounds for verification runs."""
 
-    log2_points: int = DEFAULT_LOG2_POINTS
-    max_degree: int = DEFAULT_MAX_DEGREE
+    __slots__ = ()
 
     def check_points(self, degree):
         if not self.fits_points(degree):

@@ -14,22 +14,21 @@ Sparse polynomials hold the right-hand sides of the curve equations, whose
 degrees get large (x^288 and beyond) while their term counts stay tiny.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .field import BinaryField, F2LinearMap, embedding_into, make_field
+from .field import F2LinearMap, embedding_into, make_field
 from .limits import DEFAULT_MAX_DEGREE, CapacityError
 
 
-@dataclass(frozen=True)
-class LinPoly:
+class LinPoly(namedtuple("LinPoly", "field coeffs")):
     """sum a_i x^(2^i) with coeffs[i] = a_i; canonical (no trailing zeros)."""
 
-    field: BinaryField
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __new__(cls, field, coeffs):
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("non-canonical linearized polynomial")
+        return tuple.__new__(cls, (field, coeffs))
 
     @property
     def h(self):
@@ -180,12 +179,11 @@ def splitting_degree(R, max_degree=DEFAULT_MAX_DEGREE):
         % (R.h, max_degree))
 
 
-@dataclass(frozen=True)
-class SparsePoly:
-    """Ordinary polynomial as (exponent, coefficient) terms, exponents decreasing."""
+class SparsePoly(namedtuple("SparsePoly", "field terms")):
+    """Ordinary polynomial over field as terms ((exp, coeff), ...), with
+    coeff != 0 and exponents strictly decreasing."""
 
-    field: BinaryField
-    terms: tuple  # ((exp, coeff), ...) with coeff != 0, exps strictly decreasing
+    __slots__ = ()
 
     def is_zero(self):
         return not self.terms

@@ -14,24 +14,25 @@ quotients' right-hand sides form the F_2-span of the n quotients of a
 basis, just as a fibre product's combinations span its components.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import xor
 
-from .field import BinaryField, FieldEmbedding, extend_and_embed, f2_span
-from .linops import (LinPoly, SparsePoly, as_genus, as_reduce, lin, lin_add,
-                     lin_eval, lin_kernel, lin_scale, lin_twist, sparse,
-                     sparse_add, splitting_degree, times_x)
+from .field import extend_and_embed, f2_span
+from .linops import (as_genus, as_reduce, lin, lin_add, lin_eval, lin_kernel,
+                     lin_scale, lin_twist, sparse, sparse_add,
+                     splitting_degree, times_x)
 from .limits import DEFAULT_MAX_DEGREE
 
 
-@dataclass(frozen=True)
-class AlphaSpace:
-    """The F_2-space of quotient parameters, inside a splitting extension."""
+class AlphaSpace(namedtuple("AlphaSpace", "ambient basis embedding equation")):
+    """The F_2-space of quotient parameters, inside a splitting extension.
 
-    ambient: BinaryField
-    basis: tuple               # canonical F_2-basis, dimension n
-    embedding: FieldEmbedding  # curve coefficient field -> ambient
-    equation: LinPoly          # the dual linearized equation, over ambient
+    basis is its canonical F_2-basis, of dimension n; embedding maps the
+    curve's coefficient field into ambient; equation is the dual linearized
+    equation, over ambient.
+    """
+
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -45,21 +46,16 @@ class AlphaSpace:
         return lin_eval(self.equation, alpha) == 0
 
 
-@dataclass(frozen=True)
-class SplitData:
+class SplitData(namedtuple("SplitData", "B beta")):
     """A splitting S = B^2 + beta B with B monic of 2-degree n-1."""
 
-    B: LinPoly
-    beta: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuotientCurve:
+class QuotientCurve(namedtuple("QuotientCurve", "alpha rhs genus")):
     """w^2 + w = rhs, the quotient attached to one alpha; rhs is reduced."""
 
-    alpha: int
-    rhs: SparsePoly
-    genus: int
+    __slots__ = ()
 
     @property
     def field(self):

@@ -40,7 +40,7 @@ other, so only a class's first member is checked, and power-sum additivity
 weighs each class by its member count, reading the ladder's counts of it.
 """
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from fractions import Fraction
 
 from .builder import (CurveSpec, FibreProductSpec, fibre_combinations,
@@ -60,13 +60,10 @@ class AdditivityError(ValueError):
     """The additivity check could not run: an error, not a verdict."""
 
 
-@dataclass(frozen=True)
-class CountSeries:
+class CountSeries(namedtuple("CountSeries", "q counts genus")):
     """counts[k-1] = number of points over the degree-k extension of F_q."""
 
-    q: int
-    counts: tuple
-    genus: int
+    __slots__ = ()
 
     def check_weil(self):
         qk = 1
@@ -79,24 +76,20 @@ class CountSeries:
         return self
 
 
-@dataclass(frozen=True)
-class LPoly:
+class LPoly(namedtuple("LPoly", "q coeffs")):
     """Zeta numerator: c_0 + c_1 T + ... + c_{2g} T^(2g), exact integers."""
 
-    q: int
-    coeffs: tuple
+    __slots__ = ()
 
     @property
     def genus(self):
         return (len(self.coeffs) - 1) // 2
 
 
-@dataclass(frozen=True)
-class NPReport:
+class NPReport(namedtuple("NPReport", "slopes supersingular")):
     """Newton-polygon slope multiset (2-adic units) and the 1/2-slope verdict."""
 
-    slopes: tuple
-    supersingular: bool
+    __slots__ = ()
 
 
 # -- point counting -----------------------------------------------------------
@@ -334,16 +327,16 @@ def _class_key(rhs):
     return F, tuple(zip(exps, min(chain)))
 
 
-@dataclass(slots=True)
 class _Class:
     """A Frobenius class: its first member's rhs (None: the curve), counts
-    over the pieces' field, report entry without a label, and verdict."""
+    over the pieces' field, report entry without a label, verdict, and
+    member count."""
 
-    rhs: object
-    counts: list
-    entry: dict = None
-    verdict: object = None
-    members: int = 0
+    __slots__ = ("rhs", "counts", "entry", "verdict", "members")
+
+    def __init__(self, rhs, counts, entry=None, verdict=None, members=0):
+        self.rhs, self.counts, self.entry = rhs, counts, entry
+        self.verdict, self.members = verdict, members
 
 
 def _classes(pieces):
@@ -447,14 +440,28 @@ def newton_polygon(L, N):
 # -- the supersingularity ladder ----------------------------------------------
 
 
-@dataclass
 class VerificationReport:
-    genus: int
-    supersingular: object        # True | False | "certified"
-    lpoly: LPoly = None
-    slopes: tuple = None
-    pieces: list = dc_field(default_factory=list)
-    checks: dict = dc_field(default_factory=dict)
+    """The ladder's verdict on a curve of the given genus.
+
+    supersingular is True, False or "certified".  lpoly and slopes are the
+    curve's own LPoly and Newton slopes when the curve was counted whole,
+    else None; pieces lists one entry per ladder entry, and checks maps the
+    name of each check to its outcome.
+    """
+
+    __slots__ = ("genus", "supersingular", "lpoly", "slopes", "pieces",
+                 "checks")
+
+    def __init__(self, genus, supersingular, lpoly=None, slopes=None,
+                 pieces=None, checks=None):
+        self.genus, self.supersingular = genus, supersingular
+        self.lpoly, self.slopes = lpoly, slopes
+        self.pieces = [] if pieces is None else pieces
+        self.checks = {} if checks is None else checks
+
+    def __repr__(self):
+        return "VerificationReport(%s)" % ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
 
 
 def ladder_route(genus, d, rhs, budget):

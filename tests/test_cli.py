@@ -508,6 +508,24 @@ def edited_fixture(tmp_path, name, edit):
     return str(path)
 
 
+def test_boolean_field_degree_is_refused(capsys, tmp_path):
+    # "degree": true used to load as degree 1
+    path = edited_fixture(tmp_path, "g1_f2.json",
+                          lambda doc: doc["field"].update(degree=True))
+    for cmd in ("verify", "count", "quotients"):
+        assert run_full(capsys, cmd, path) == (
+            2, "", "error: bad field degree True\n"), cmd
+
+
+def test_boolean_exponent_is_refused(capsys, tmp_path):
+    # "exp": true used to load as exponent 1, and verify --json printed the
+    # report of the file with "exp": 1
+    path = fibre_file(tmp_path, "bool.json", [[3, True]])
+    for cmd in ("verify", "count", "lpoly"):
+        assert run_full(capsys, cmd, path) == (
+            2, "", "error: bad exponent True\n"), cmd
+
+
 def test_single_equation_genus_ignores_metadata(capsys, tmp_path):
     # metadata claiming genus 6 for the genus-5 fixture changes nothing
     good = os.path.join(FIXTURES, "g5_f2.json")
@@ -870,3 +888,18 @@ def test_import_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "0 None\n"), proc.stderr
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the value records are named tuples; dataclasses (and the inspect it
+    # pulls in) would add tens of milliseconds to every command's start-up
+    code = ("import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "import sscurves.cli\n"
+            "print(*sorted(sys.modules), sep='\\n')\n" % SRC)
+    proc = subprocess.run([sys.executable, "-E", "-s", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "sscurves.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

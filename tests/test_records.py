@@ -100,11 +100,6 @@ def test_budget_defaults():
     assert Budget(max_degree=8) == Budget(24, 8)
 
 
-def test_decomposition_properties():
-    d = decompose(221)
-    assert (d.t, d.strata, d.recompose()) == (3, ((1, 1), (2, 3), (3, 2)), 221)
-
-
 def test_spec_properties_are_computed_once(monkeypatch):
     calls = []
 

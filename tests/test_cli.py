@@ -187,6 +187,23 @@ def test_quotients_output_is_pinned(capsys, name):
             assert run(capsys, *argv) == (0, fh.read()), suffix
 
 
+def test_quotients_at_the_frontier_are_pinned(capsys, tmp_path):
+    # g16383_f2 has 16,383 quotient pieces; its JSON and text listings are
+    # pinned by sha256, in sha256sum's own format
+    curve = str(tmp_path / "g16383_f2.json")
+    assert run(capsys, "construct", "--mode", "f2", "16383",
+               "--out", curve)[0] == 0
+    with open(os.path.join(FIXTURES, "expected",
+                           "g16383_f2.quotients.sha256")) as fh:
+        pinned = dict(line.split()[::-1] for line in fh)
+    for argv, name in ((["quotients", "--json", curve],
+                        "g16383_f2.quotients.json"),
+                       (["quotients", curve], "g16383_f2.quotients.txt")):
+        rc, out = run(capsys, *argv)
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (
+            0, pinned[name]), name
+
+
 def test_output_determinism(capsys):
     rc1, out1 = run(capsys, "construct", "--mode", "f2m", "109", "--json")
     rc2, out2 = run(capsys, "construct", "--mode", "f2m", "109", "--json")

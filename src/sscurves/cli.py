@@ -119,14 +119,15 @@ def cmd_quotients(args):
     if not isinstance(curve, CurveSpec):
         raise ValueError("quotients need a single-equation curve file")
     pieces = decomposition(curve, max_degree=budget.max_degree)
-    doc = [{"alpha": jsonio.elem_to_json(p.alpha), "genus": p.genus,
-            "rhs": jsonio.sparse_to_json(p.rhs)} for p in pieces]
     lines = ["%d quotients, genus total %d" % (len(pieces),
                                                sum(p.genus for p in pieces))]
     lines += ["alpha=%s  genus %d  w^2+w = %s"
               % (jsonio.elem_to_json(p.alpha), p.genus,
                  render.sparse_text(p.rhs)) for p in pieces]
-    _emit(args, doc, lines)
+    if args.json:
+        sys.stdout.write(jsonio.quotients_text(pieces))
+    else:
+        print("\n".join(lines))
     return 0
 
 

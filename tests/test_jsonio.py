@@ -1,10 +1,17 @@
 import json
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sscurves import jsonio
+from sscurves.builder import (CurveSpec, build_components, build_prime_field,
+                              glue_single_block)
+from sscurves.decomp import decompose
+from sscurves.field import make_field
+from sscurves.linops import lin, sparse
+from sscurves.quotient import QuotientCurve, decomposition, is_irreducible
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -57,3 +64,51 @@ def test_other_leaves_and_keys_are_json_s():
         with pytest.raises(TypeError) as theirs:
             json.dumps(bad, indent=2)
         assert str(ours.value) == str(theirs.value)
+
+
+def quotients_doc(pieces):
+    """The quotients document as dicts, the reference for quotients_text."""
+    return [{"alpha": jsonio.elem_to_json(p.alpha), "genus": p.genus,
+             "rhs": jsonio.sparse_to_json(p.rhs)} for p in pieces]
+
+
+def seeded_curve(seed):
+    """An irreducible curve over F_4 or F_8 with three R_k over four
+    columns, so that its quotients have several terms."""
+    rng = random.Random(seed)
+    while True:
+        F = make_field(rng.randrange(2, 4))
+        S = lin(F, [rng.randrange(1, F.order), rng.randrange(F.order),
+                    rng.randrange(F.order), 1])
+        R_list = tuple(lin(F, [rng.randrange(F.order) for _ in range(4)])
+                       for _ in range(3))
+        c = CurveSpec(F, S, R_list)
+        if is_irreducible(c):
+            return c
+
+
+# the genera of the benchmark's structure workload
+STRUCTURE_GENERA = (30, 63, 95, 127, 221, 255, 383, 511, 1000, 1023, 4096)
+
+
+def test_quotients_text_is_dumps_of_the_document():
+    curves = [jsonio.load_curve(os.path.join(FIXTURES, f))
+              for f in sorted(os.listdir(FIXTURES)) if f.endswith(".json")]
+    curves = [c for c in curves if isinstance(c, CurveSpec)]
+    assert len(curves) == 5       # g6_f4 among them
+    curves += [build_prime_field(decompose(g)) for g in STRUCTURE_GENERA]
+    curves += [glue_single_block(build_components(decompose(g)))
+               for g in (30, 63)]
+    curves.append(seeded_curve(7))
+    longest = 0
+    for c in curves:
+        pieces = decomposition(c)
+        assert jsonio.quotients_text(pieces) == jsonio.dumps(
+            quotients_doc(pieces)), c
+        longest = max(longest, max(len(p.rhs.terms) for p in pieces))
+    assert longest >= 3, longest
+    # the empty list, and a piece whose right-hand side is zero
+    zero = QuotientCurve(1, sparse(make_field(1), {}), 0)
+    for pieces in ([], [zero], [zero, decomposition(curves[-1])[0]]):
+        assert jsonio.quotients_text(pieces) == jsonio.dumps(
+            quotients_doc(pieces))

@@ -130,7 +130,7 @@ def sparse_to_json(f):
 def sparse_from_json(obj, F):
     _need(obj, "sparse polynomial", ("terms",))
     terms = {}
-    for t in obj["terms"]:
+    for t in _list(obj, "sparse polynomial", "terms"):
         _need(t, "term", ("exp", "coeff"))
         if type(t["exp"]) is not int or t["exp"] < 0:     # true, as above
             raise ValueError("bad exponent %r" % (t["exp"],))
@@ -170,12 +170,14 @@ def curve_from_json(doc, max_degree=DEFAULT_MAX_DEGREE):
     if doc["kind"] == "single":
         _need(doc, "curve file", ("S", "R"))
         S = linpoly_from_json(doc["S"], F)
-        R_list = tuple(linpoly_from_json(R, F) for R in doc["R"])
+        R_list = tuple(linpoly_from_json(R, F)
+                       for R in _list(doc, "curve file", "R"))
         return CurveSpec(F, S, R_list).validate()
     if doc["kind"] == "fibre_product":
         _need(doc, "curve file", ("components",))
-        spec = FibreProductSpec(F, tuple(sparse_from_json(c, F)
-                                         for c in doc["components"]))
+        spec = FibreProductSpec(F, tuple(
+            sparse_from_json(c, F)
+            for c in _list(doc, "curve file", "components")))
         spec.strata         # a malformed span raises ValueError at load
         return spec
     raise ValueError("unknown curve kind %r" % (doc["kind"],))
@@ -214,3 +216,11 @@ def _need(obj, what, keys):
     for k in keys:
         if k not in obj:
             raise ValueError("%s is missing %r" % (what, k))
+
+
+def _list(obj, what, key):
+    """obj[key], refused unless it is a list (a number is not iterable, and
+    a string would be iterated by character)."""
+    if not isinstance(obj[key], list):
+        raise ValueError("%s's %r must be a JSON list" % (what, key))
+    return obj[key]

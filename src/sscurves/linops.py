@@ -217,12 +217,16 @@ def sparse(field, terms):
 
 
 def sparse_add(f, g):
-    if f.field != g.field:
+    """f + g, built directly: the terms of both are already canonical, so
+    only the cancelled ones are dropped."""
+    F = f.field
+    if g.field is not F and g.field != F:
         raise ValueError("field mismatch")
     acc = dict(f.terms)
     for e, c in g.terms:
         acc[e] = acc.get(e, 0) ^ c
-    return sparse(f.field, acc)
+    return SparsePoly(F, tuple(sorted([t for t in acc.items() if t[1]],
+                                      reverse=True)))
 
 
 def sparse_twist(f, k):

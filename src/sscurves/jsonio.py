@@ -64,18 +64,18 @@ def _text(o, pad):
 
 
 _PIECE = ('\n  {\n    "alpha": "0x%x",\n    "genus": %d,\n    "rhs": {\n'
-          '      "terms": [%s%s]\n    }\n  }')
+          '      "terms": [%s\n      ]\n    }\n  }')
 _TERM = '\n        {\n          "exp": %d,\n          "coeff": "0x%x"\n        }'
 
 
 def quotients_text(pieces):
     """dumps([{"alpha", "genus", "rhs": sparse_to_json(rhs)}]) of the
-    pieces, byte for byte, written without building the document."""
+    pieces, byte for byte, written without building the document.  Every
+    right-hand side has a term: decomposition refuses a reducible curve."""
     if not pieces:
         return "[]\n"
     return "[%s\n]\n" % ",".join([
-        _PIECE % (p.alpha, p.genus, ",".join([_TERM % t for t in p.rhs.terms]),
-                  "\n      " if p.rhs.terms else "")
+        _PIECE % (p.alpha, p.genus, ",".join([_TERM % t for t in p.rhs.terms]))
         for p in pieces])
 
 

@@ -546,23 +546,14 @@ def test_boolean_exponent_is_refused(capsys, tmp_path):
 def test_non_list_fields_are_refused(capsys, tmp_path):
     # "R", "components" and a component's "terms" used to end in a TypeError
     # traceback with exit 1
-    def fibre(edit):
-        path = fibre_file(tmp_path, "one.json", [[3]])
-        with open(path) as fh:
-            doc = json.load(fh)
-        edit(doc)
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        return path
-    for make, message in (
-            (lambda: edited_fixture(tmp_path, "g5_f2.json",
-                                    lambda doc: doc.update(R=5)),
+    for name, edit, message in (
+            ("g5_f2.json", lambda doc: doc.update(R=5),
              "curve file's 'R' must be a JSON list"),
-            (lambda: fibre(lambda doc: doc.update(components=5)),
+            ("g63_f2m.json", lambda doc: doc.update(components=5),
              "curve file's 'components' must be a JSON list"),
-            (lambda: fibre(lambda doc: doc["components"][0].update(terms=5)),
+            ("g63_f2m.json", lambda doc: doc["components"][0].update(terms=5),
              "sparse polynomial's 'terms' must be a JSON list")):
-        path = make()
+        path = edited_fixture(tmp_path, name, edit)
         for cmd in ("verify", "count"):
             assert run_full(capsys, cmd, path) == (
                 2, "", "error: %s\n" % message), (cmd, message)

@@ -936,3 +936,23 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     loaded = set(proc.stdout.split())
     assert "sscurves.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+HELP_COMMANDS = ("", "decompose", "construct", "quotients", "count", "lpoly",
+                 "verify", "iso", "radical")
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    # argparse wraps to $COLUMNS, so a fixed width gives the same text on
+    # every terminal; each block is one `sscurves [command] --help`
+    monkeypatch.setenv("COLUMNS", "80")
+    blocks = []
+    for command in HELP_COMMANDS:
+        argv = [command, "--help"] if command else ["--help"]
+        with pytest.raises(SystemExit) as ex:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (ex.value.code, captured.err) == (0, "")
+        blocks.append("== sscurves %s\n%s" % (" ".join(argv), captured.out))
+    with open(os.path.join(FIXTURES, "expected", "help.txt")) as fh:
+        assert "".join(blocks) == fh.read()

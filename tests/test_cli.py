@@ -334,6 +334,23 @@ def test_iso_and_radical(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["isomorphic"] is True
 
 
+def test_iso_negative_answers(capsys, tmp_path):
+    field = {"degree": 2, "modulus": "0x7"}
+    r1 = tmp_path / "r1.json"
+    r2 = tmp_path / "r2.json"
+    r1.write_text(json.dumps({"field": field, "coeffs": ["0x1", "0x1"]}))
+    r2.write_text(json.dumps({"field": field, "coeffs": ["0x1", "0x0", "0x1"]}))
+    assert run_full(capsys, "iso", str(r1), str(r2)) == (
+        0, "not isomorphic\n", "")
+    rc, out = run(capsys, "iso", str(r1), str(r2), "--json")
+    assert rc == 0
+    assert json.loads(out) == {"isomorphic": False, "mode": "curves"}
+    r2.write_text(json.dumps({"field": {"degree": 4, "modulus": "0x13"},
+                              "coeffs": ["0x1", "0x1"]}))
+    assert run_full(capsys, "iso", str(r1), str(r2)) == (
+        2, "", "error: operands live over different fields\n")
+
+
 def test_iso_and_radical_json_are_pinned(capsys, tmp_path):
     # the README's r1.json and r2.json, byte for byte
     field = '{"field": {"degree": 4, "modulus": "0x13"}, '
@@ -513,6 +530,51 @@ def test_invalid_fibre_files(capsys, tmp_path):
         for cmd in ("verify", "count", "lpoly"):
             assert main([cmd, path]) == 2, (name, cmd)
             assert "degree 7 is not of the form" in capsys.readouterr().err
+
+
+def test_verify_rejections_of_fibre_products(capsys, tmp_path):
+    # x^9 + x^7 is not supersingular: its Newton polygon rejects it
+    path = fibre_file(tmp_path, "x9x7.json", [[9, 7]])
+    rc, out = run(capsys, "verify", path)
+    lines = out.splitlines()
+    assert rc == 1 and lines[1] == "supersingular: false"
+    assert lines[-1] == "FAILURES: newton polygon rejects supersingularity"
+    # with x^5 beside it and a budget of 2^8, verify counts the pieces
+    path = fibre_file(tmp_path, "x9x7_x5.json", [[9, 7], [5]])
+    rc, out = run(capsys, "verify", path, "--json", "--budget-log2", "8")
+    doc = json.loads(out)
+    assert rc == 1 and doc["supersingular"] is False
+    assert {p["label"]: p["supersingular"] for p in doc["pieces"]} == {
+        "combination 0x1": False, "combination 0x2": True,
+        "combination 0x3": False}
+    assert doc["checks"]["piece_genus_total"] is True
+    assert doc["failures"] == ["newton polygon rejects supersingularity"]
+    # a piece past the budget whose shape certifies nothing
+    path = fibre_file(tmp_path, "x8193x7.json", [[8193, 7]])
+    assert run_full(capsys, "verify", path) == (
+        3, "", "capacity/budget error: piece combination 0x1 exceeds the "
+               "budget and has no certifiable shape\n")
+    # quotients take single-equation curves only
+    assert run_full(capsys, "quotients", path) == (
+        2, "", "error: quotients need a single-equation curve file\n")
+
+
+def test_verify_reports_an_additivity_mismatch(capsys, monkeypatch):
+    from sscurves import zeta
+    count_points = zeta.count_points
+
+    def off_by_two_in_additive(curve, k, budget=zeta.DEFAULT_BUDGET):
+        n = count_points(curve, k, budget)
+        return n + 2 if sys._getframe(1).f_code.co_name == "_additive" else n
+
+    monkeypatch.setattr(zeta, "count_points", off_by_two_in_additive)
+    g5 = os.path.join(FIXTURES, "g5_f2.json")
+    assert zeta.powersum_additivity_check(jsonio.load_curve(g5), 2) is False
+    rc, out = run(capsys, "verify", g5, "--json")
+    doc = json.loads(out)
+    assert rc == 1 and doc["supersingular"] is True
+    assert doc["checks"]["powersum_additivity"] is False
+    assert doc["failures"] == ["powersum_additivity"]
 
 
 def edited_fixture(tmp_path, name, edit):

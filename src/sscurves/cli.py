@@ -86,20 +86,17 @@ def cmd_construct(args):
         if args.glue:
             raise ValueError("--glue applies to the f2m construction only")
         curve = build_prime_field(d)
-        lines = [render.equation_text(curve)]
-        lines += render.xr_table(curve)
     else:
-        spec = build_components(d, budget.max_degree)
+        curve = build_components(d, budget.max_degree)
         if args.glue:
             if d.t != 1:
                 raise ValueError("--glue needs a single-block genus "
                                  "(g = %d has %d blocks)" % (args.g, d.t))
-            curve = glue_single_block(spec)
-            lines = [render.equation_text(curve)]
-            lines += render.xr_table(curve)
-        else:
-            curve = spec
-            lines = render.component_lines(spec)
+            curve = glue_single_block(curve)
+    if isinstance(curve, CurveSpec):
+        lines = [render.equation_text(curve)] + render.xr_table(curve)
+    else:
+        lines = render.component_lines(curve)
     cert = stratum_certificate(d)
     lines.append("genus certificate: %s, total %d"
                  % ([[c, g] for c, g in cert.strata], cert.total))
@@ -239,19 +236,8 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output only")
-        p.add_argument("--budget-log2", type=_positive, default=None,
-                       help="log2 of the largest field a point count may "
-                            "run over (default %d)" % DEFAULT_LOG2_POINTS)
-        p.add_argument("--max-degree", type=_positive, default=None,
-                       help="largest ambient field degree (default %d)"
-                            % DEFAULT_MAX_DEGREE)
-
     p = sub.add_parser("decompose", help="binary block decomposition of g")
     p.add_argument("g", type=int)
-    common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("construct", help="build a curve of genus g")
@@ -260,24 +246,20 @@ def build_parser():
     p.add_argument("--glue", action="store_true",
                    help="glue a single-block f2m product into one equation")
     p.add_argument("--out", metavar="FILE", help="write the curve file here")
-    common(p)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("quotients", help="list the quotient pieces of a curve")
     p.add_argument("curvefile")
-    common(p)
     p.set_defaults(func=cmd_quotients)
 
     p = sub.add_parser("count", help="count points over an extension")
     p.add_argument("curvefile")
     p.add_argument("--ext", type=_positive, default=1, metavar="K",
                    help="extension degree over the curve's field")
-    common(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("lpoly", help="L-polynomial from exact counts")
     p.add_argument("curvefile")
-    common(p)
     p.set_defaults(func=cmd_lpoly)
 
     p = sub.add_parser("verify", help="full verification ladder")
@@ -285,21 +267,27 @@ def build_parser():
     p.add_argument("--kmax", type=_positive, default=2,
                    help="extensions for the power-sum additivity check")
     p.add_argument("--skip-additivity", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("iso", help="isomorphism test for curves or covers")
     p.add_argument("--mode", choices=("curves", "covers"), default="curves")
     p.add_argument("first")
     p.add_argument("second")
-    common(p)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("radical", help="radical of a linearized polynomial")
     p.add_argument("first", metavar="rfile")
-    common(p)
     p.set_defaults(func=cmd_radical)
 
+    for p in sub.choices.values():      # the shared options come last
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable output only")
+        p.add_argument("--budget-log2", type=_positive, default=None,
+                       help="log2 of the largest field a point count may "
+                            "run over (default %d)" % DEFAULT_LOG2_POINTS)
+        p.add_argument("--max-degree", type=_positive, default=None,
+                       help="largest ambient field degree (default %d)"
+                            % DEFAULT_MAX_DEGREE)
     return parser
 
 

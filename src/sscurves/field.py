@@ -40,7 +40,7 @@ _TABLE_MAX_DEGREE = 20
 class BinaryField:
     """Arithmetic in F_{2^N} = GF(2)[x]/(modulus), elements as bit vectors."""
 
-    __slots__ = ("degree", "modulus", "order", "_top", "_trace_dual",
+    __slots__ = ("degree", "modulus", "order", "_trace_dual",
                  "_sqr_tables", "_exp", "_log", "_generator_order",
                  "_baby_steps")
 
@@ -52,7 +52,6 @@ class BinaryField:
         self.degree = degree
         self.modulus = modulus
         self.order = 1 << degree
-        self._top = 1 << degree
         self._trace_dual = None
         self._sqr_tables = None
         self._exp = None
@@ -81,12 +80,8 @@ class BinaryField:
 
     # -- ring operations ---------------------------------------------------
 
-    @staticmethod
-    def add(a, b):
-        return a ^ b
-
     def mul(self, a, b):
-        m, top = self.modulus, self._top
+        m, top = self.modulus, self.order
         r = 0
         while b:
             if b & 1:
@@ -515,17 +510,11 @@ class FieldEmbedding:
 
     def preimage(self, e):
         """The base-field element mapping to e, or None if e is outside."""
-        if self.base is self.ext:
-            return e
         if self._solver is None:
             self._solver = F2LinearMap(
                 [self(1 << i) for i in range(self.base.degree)])
         sol = self._solver.solve(e)
         return sol
-
-
-def identity_embedding(field):
-    return FieldEmbedding(field, field, field.generator)
 
 
 _EMBED_CACHE = {}
@@ -537,15 +526,15 @@ def embedding_into(base, ext):
     base.degree must divide ext.degree; the base generator goes to the
     smallest root of the base modulus in ext (``_least_root``).
     """
-    if base == ext:
-        return identity_embedding(base)
     if ext.degree % base.degree:
         raise ValueError("no embedding: %d does not divide %d"
                          % (base.degree, ext.degree))
     key = (base.degree, base.modulus, ext.degree, ext.modulus)
     emb = _EMBED_CACHE.get(key)
     if emb is None:
-        root = 1 if base.degree == 1 else _least_root(base, ext)
+        # the least root of a modulus in its own field is x itself
+        root = (base.generator if base == ext or base.degree == 1
+                else _least_root(base, ext))
         emb = _EMBED_CACHE[key] = FieldEmbedding(base, ext, root)
     return emb
 
@@ -590,7 +579,5 @@ def _conjugates(F, a, d):
 
 def extend_and_embed(base, k, max_degree=DEFAULT_MAX_DEGREE):
     """The canonical degree-k extension of base together with the embedding."""
-    if k == 1:
-        return base, identity_embedding(base)
-    ext = make_field(base.degree * k, max_degree=max_degree)
+    ext = base if k == 1 else make_field(base.degree * k, max_degree=max_degree)
     return ext, embedding_into(base, ext)

@@ -192,12 +192,6 @@ class SparsePoly(namedtuple("SparsePoly", "field terms")):
     def degree(self):
         return self.terms[0][0] if self.terms else -1
 
-    def coeff(self, e):
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return 0
-
     def map_field(self, embedding):
         return sparse(embedding.ext, {e: embedding(c) for e, c in self.terms})
 

@@ -107,33 +107,28 @@ def _bsgs(F, gamma, h, p):
     raise AssertionError("h is not a power of gamma")
 
 
-def sparse_text(f):
-    if f.is_zero():
-        return "0"
+def _terms_text(F, terms, var):
+    """'c*v^e+...' for (e, c) terms over F, in the order given; '0' for none."""
     parts = []
-    for e, c in f.terms:
-        cs = coeff_text(f.field, c)
+    for e, c in terms:
+        cs = coeff_text(F, c)
         if e == 0:
             parts.append(cs[:-1] if cs else "1")
         elif e == 1:
-            parts.append(cs + "x")
+            parts.append(cs + var)
         else:
-            parts.append("%sx^%d" % (cs, e))
-    return "+".join(parts)
+            parts.append("%s%s^%d" % (cs, var, e))
+    return "+".join(parts) or "0"
+
+
+def sparse_text(f):
+    return _terms_text(f.field, f.terms, "x")
 
 
 def linpoly_text(R, var="y"):
-    if R.is_zero():
-        return "0"
-    parts = []
-    for i in reversed(range(len(R.coeffs))):
-        a = R.coeffs[i]
-        if not a:
-            continue
-        cs = coeff_text(R.field, a)
-        e = 1 << i
-        parts.append(cs + var if e == 1 else "%s%s^%d" % (cs, var, e))
-    return "+".join(parts)
+    a = R.coeffs
+    return _terms_text(R.field, [(1 << i, a[i])
+                                 for i in reversed(range(len(a))) if a[i]], var)
 
 
 def equation_text(curve):

@@ -178,6 +178,19 @@ def test_prime_field_embedding():
     assert ext is F4 and emb(0) == 0 and emb(1) == 1
 
 
+def test_identity_embedding_is_cached():
+    # a k = 1 count asks for the identity each time; it is built once
+    rng = random.Random(20)
+    for F, sample in ((F16, F16.elements()),
+                      (make_field(20), rng.sample(range(1 << 20), 200))):
+        ext, emb = extend_and_embed(F, 1)
+        assert ext is F
+        assert extend_and_embed(F, 1)[1] is emb
+        assert embedding_into(F, F) is emb
+        for a in sample:
+            assert emb(a) == a and emb.preimage(a) == a
+
+
 def test_embedding_requires_divisibility():
     with pytest.raises(ValueError):
         embedding_into(F4, make_field(5))

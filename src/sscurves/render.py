@@ -126,9 +126,8 @@ def sparse_text(f):
 
 
 def linpoly_text(R, var="y"):
-    a = R.coeffs
-    return _terms_text(R.field, [(1 << i, a[i])
-                                 for i in reversed(range(len(a))) if a[i]], var)
+    terms = [(1 << i, a) for i, a in enumerate(R.coeffs) if a]
+    return _terms_text(R.field, reversed(terms), var)
 
 
 def equation_text(curve):

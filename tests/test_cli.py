@@ -567,6 +567,7 @@ def test_verify_reports_an_additivity_mismatch(capsys, monkeypatch):
         n = count_points(curve, k, budget)
         return n + 2 if sys._getframe(1).f_code.co_name == "_additive" else n
 
+    # only the check's own count of the curve is off; the ladder's is not
     monkeypatch.setattr(zeta, "count_points", off_by_two_in_additive)
     g5 = os.path.join(FIXTURES, "g5_f2.json")
     assert zeta.powersum_additivity_check(jsonio.load_curve(g5), 2) is False

@@ -513,8 +513,7 @@ class FieldEmbedding:
         if self._solver is None:
             self._solver = F2LinearMap(
                 [self(1 << i) for i in range(self.base.degree)])
-        sol = self._solver.solve(e)
-        return sol
+        return self._solver.solve(e)
 
 
 _EMBED_CACHE = {}

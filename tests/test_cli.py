@@ -204,6 +204,29 @@ def test_quotients_at_the_frontier_are_pinned(capsys, tmp_path):
             0, pinned[name]), name
 
 
+@pytest.mark.parametrize("g, mode, pins", [
+    # pieces with two terms, coefficients rendered through the F_2^14 log table
+    (383, "f2", "g383_f2.quotients.sha256"),
+    # 1,023 single-term pieces
+    (1023, "f2", "g1023_f2.quotients.sha256"),
+    # a fibre product: its pieces are fibre_combinations
+    (1000, "f2m", "g1000_f2m.verify.sha256")])
+def test_listings_of_built_curves_are_pinned(capsys, tmp_path, g, mode, pins):
+    # each file holds sha256sum lines; the suffix of a name says the command
+    commands = {".quotients.json": ["quotients", "--json"],
+                ".quotients.txt": ["quotients"],
+                ".verify.json": ["verify", "--json"]}
+    curve = str(tmp_path / ("g%d_%s.json" % (g, mode)))
+    assert run(capsys, "construct", "--mode", mode, str(g),
+               "--out", curve)[0] == 0
+    with open(os.path.join(FIXTURES, "expected", pins)) as fh:
+        pinned = dict(line.split()[::-1] for line in fh)
+    for name, digest in pinned.items():
+        rc, out = run(capsys, *commands[name[name.index("."):]], curve)
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (
+            0, digest), name
+
+
 def test_output_determinism(capsys):
     rc1, out1 = run(capsys, "construct", "--mode", "f2m", "109", "--json")
     rc2, out2 = run(capsys, "construct", "--mode", "f2m", "109", "--json")

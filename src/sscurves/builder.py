@@ -18,10 +18,11 @@ over F_{2^m} (``glue_single_block``).
 from collections import namedtuple
 from functools import cached_property
 
-from .field import _echelonize, f2_span, make_field
+from .field import _echelonize, make_field
 from .limits import DEFAULT_MAX_DEGREE
-from .linops import (as_reduce, lin, lin_add, lin_monomial, lin_rmod,
-                     lin_twist, sparse, sparse_add, sparse_twist, times_x)
+from .linops import (SparsePoly, as_reduce, lin, lin_add, lin_monomial,
+                     lin_rmod, lin_twist, sparse, sparse_span, sparse_twist,
+                     times_x)
 from .quotient import column_poly, dual_equation
 
 
@@ -66,11 +67,8 @@ class CurveSpec(namedtuple("CurveSpec", "field S R_list")):
 
     def derived_T(self):
         """The right-hand side sum (x R_k)^(2^(k-1)) as one sparse polynomial."""
-        acc = sparse(self.field, {})
-        for k, R in enumerate(self.R_list, start=1):
-            if not R.is_zero():
-                acc = sparse_add(acc, sparse_twist(times_x(R), k - 1))
-        return acc
+        return sparse(self.field, [t for k, R in enumerate(self.R_list)
+                                   for t in sparse_twist(times_x(R), k).terms])
 
     def validate(self):
         if self.S.coeff(0) == 0:
@@ -193,8 +191,8 @@ def equation_strata(c):
 
 def fibre_combinations(spec):
     """The 2^w - 1 nonzero F_2-combinations of the components: (mask, sum)."""
-    return list(enumerate(f2_span(spec.components, sparse(spec.field, {}),
-                                  sparse_add)))[1:]
+    rows = sparse_span(spec.components)
+    return [(m, SparsePoly(spec.field, rows[m])) for m in range(1, len(rows))]
 
 
 def certificate(spec):

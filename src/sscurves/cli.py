@@ -19,7 +19,7 @@ from .classify import covers_isomorphic, curves_isomorphic, radical
 from .decomp import decompose
 from .limits import (DEFAULT_LOG2_POINTS, DEFAULT_MAX_DEGREE, Budget,
                      BudgetError, CapacityError)
-from .quotient import decomposition, is_irreducible
+from .quotient import is_irreducible, quotient_rows
 from .zeta import (AdditivityError, count_points, genus_and_degree,
                    ladder_route, verify_supersingular)
 
@@ -115,14 +115,14 @@ def cmd_quotients(args):
     curve = jsonio.load_curve(args.curvefile, budget.max_degree)
     if not isinstance(curve, CurveSpec):
         raise ValueError("quotients need a single-equation curve file")
-    pieces = decomposition(curve, max_degree=budget.max_degree)
-    lines = ["%d quotients, genus total %d" % (len(pieces),
-                                               sum(p.genus for p in pieces))]
-    lines += ["alpha=%s  genus %d  w^2+w = %s"
-              % (jsonio.elem_to_json(p.alpha), p.genus,
-                 render.sparse_text(p.rhs)) for p in pieces]
+    F, rows = quotient_rows(curve, max_degree=budget.max_degree)
+    lines = ["%d quotients, genus total %d" % (len(rows),
+                                               sum(r[1] for r in rows))]
+    lines += ["alpha=0x%x  genus %d  w^2+w = %s"
+              % (alpha, genus, render.terms_text(F, terms, "x"))
+              for alpha, genus, terms in rows]
     if args.json:
-        sys.stdout.write(jsonio.quotients_text(pieces))
+        sys.stdout.write(jsonio.quotients_text(rows))
     else:
         print("\n".join(lines))
     return 0

@@ -8,8 +8,8 @@ parse, so fixtures can be compared with plain string equality.  `dumps`
 writes json's indent-2 layout directly: CPython runs its C encoder only
 without indent, and its pure-Python encoder takes about twice as long.
 The quotients document has a fixed shape, so `quotients_text` writes it
-straight from the pieces, one format per piece and one per term; `dumps`
-writes every other document.
+straight from the span's rows, one format per piece and one per term;
+`dumps` writes every other document.
 """
 
 import json
@@ -68,15 +68,15 @@ _PIECE = ('\n  {\n    "alpha": "0x%x",\n    "genus": %d,\n    "rhs": {\n'
 _TERM = '\n        {\n          "exp": %d,\n          "coeff": "0x%x"\n        }'
 
 
-def quotients_text(pieces):
-    """dumps([{"alpha", "genus", "rhs": sparse_to_json(rhs)}]) of the
-    pieces, byte for byte, written without building the document.  Every
-    right-hand side has a term: decomposition refuses a reducible curve."""
-    if not pieces:
+def quotients_text(rows):
+    """dumps([{"alpha", "genus", "rhs": {"terms": ...}}]) of quotient_rows'
+    (alpha, genus, terms), byte for byte, written without building the
+    document.  Every row has a term: a reducible curve is refused."""
+    if not rows:
         return "[]\n"
     return "[%s\n]\n" % ",".join([
-        _PIECE % (p.alpha, p.genus, ",".join([_TERM % t for t in p.rhs.terms]))
-        for p in pieces])
+        _PIECE % (alpha, genus, ",".join([_TERM % t for t in terms]))
+        for alpha, genus, terms in rows])
 
 
 def field_to_json(F):

@@ -15,8 +15,9 @@ degrees get large (x^288 and beyond) while their term counts stay tiny.
 """
 
 from collections import namedtuple
+from operator import xor
 
-from .field import F2LinearMap, embedding_into, make_field
+from .field import F2LinearMap, embedding_into, f2_span, make_field
 from .limits import DEFAULT_MAX_DEGREE, CapacityError
 
 
@@ -210,17 +211,18 @@ def sparse(field, terms):
     return SparsePoly(field, tuple(cleaned))
 
 
-def sparse_add(f, g):
-    """f + g, built directly: the terms of both are already canonical, so
-    only the cancelled ones are dropped."""
-    F = f.field
-    if g.field is not F and g.field != F:
-        raise ValueError("field mismatch")
-    acc = dict(f.terms)
-    for e, c in g.terms:
-        acc[e] = acc.get(e, 0) ^ c
-    return SparsePoly(F, tuple(sorted([t for t in acc.items() if t[1]],
-                                      reverse=True)))
+def sparse_span(basis):
+    """The terms of the 2^w F_2-combinations of the sparse polynomials basis,
+    indexed by mask as ``f2_span``'s list is, walked one exponent at a time:
+    the column at e, highest e first, is the f2_span of the basis
+    coefficients at e under xor, so row mask gathers its nonzero entries in
+    decreasing order, the canonical terms of its sum, with no sum built."""
+    coeffs = [dict(f.terms) for f in basis]
+    rows = [()] * (1 << len(basis))
+    for e in sorted({e for t in coeffs for e in t}, reverse=True):
+        column = f2_span([t.get(e, 0) for t in coeffs], 0, xor)
+        rows = [r + ((e, c),) if c else r for r, c in zip(rows, column)]
+    return rows
 
 
 def sparse_twist(f, k):

@@ -18,8 +18,8 @@ from collections import namedtuple
 from operator import xor
 
 from .field import extend_and_embed, f2_span
-from .linops import (as_genus, as_reduce, lin, lin_add, lin_eval, lin_kernel,
-                     lin_scale, lin_twist, sparse, sparse_add,
+from .linops import (SparsePoly, as_genus, as_reduce, lin, lin_add, lin_eval,
+                     lin_kernel, lin_scale, lin_twist, sparse_span,
                      splitting_degree, times_x)
 from .limits import DEFAULT_MAX_DEGREE
 
@@ -149,20 +149,26 @@ def is_irreducible(c):
     return sum(dim for _, dim in c.strata) == c.n
 
 
-def decomposition(c, max_degree=DEFAULT_MAX_DEGREE):
-    """Quotient curves for every nonzero alpha, in the order of members().
+def quotient_rows(c, max_degree=DEFAULT_MAX_DEGREE):
+    """(ambient, [(alpha, genus, terms), ...]) in the order of members().
 
-    Only the n basis quotients are built; the rest are sums of theirs.
-    Reduction is F_2-linear (c x^(2e) -> sqrt(c) x^e term by term), so the
-    reduced right-hand side of alpha + beta is the sum of those of alpha and
-    beta, and a sum of reduced polynomials (odd exponents and a constant) is
-    already reduced, so each genus is read off its degree d as (d - 1)/2.
-    The genera of the list sum to the genus of c.
+    Only the n basis quotients are built; the rest are sums of theirs
+    (``sparse_span``).  Reduction is F_2-linear (c x^(2e) -> sqrt(c) x^e
+    term by term), so the reduced right-hand side of alpha + beta is the
+    sum of those of alpha and beta, and a sum of reduced polynomials (odd
+    exponents and a constant) is already reduced, so each genus is read off
+    its degree d as (d - 1)/2.  The genera sum to the genus of c.
     """
     if not is_irreducible(c):
         raise ValueError("curve is reducible: decomposition undefined")
     space = solve_alpha_space(c, max_degree=max_degree)
-    rhs = f2_span([quotient_curve(c, a, space).rhs for a in space.basis],
-                  sparse(space.ambient, {}), sparse_add)[1:]
-    return [QuotientCurve(alpha, f, (f.degree - 1) // 2)
-            for alpha, f in zip(space.members(), rhs)]
+    rows = sparse_span([quotient_curve(c, a, space).rhs for a in space.basis])
+    return space.ambient, [(alpha, (t[0][0] - 1) // 2, t)
+                           for alpha, t in zip(space.members(), rows[1:])]
+
+
+def decomposition(c, max_degree=DEFAULT_MAX_DEGREE):
+    """Quotient curves for every nonzero alpha, in the order of members()."""
+    F, rows = quotient_rows(c, max_degree=max_degree)
+    return [QuotientCurve(alpha, SparsePoly(F, t), genus)
+            for alpha, genus, t in rows]

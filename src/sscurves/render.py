@@ -107,7 +107,7 @@ def _bsgs(F, gamma, h, p):
     raise AssertionError("h is not a power of gamma")
 
 
-def _terms_text(F, terms, var):
+def terms_text(F, terms, var):
     """'c*v^e+...' for (e, c) terms over F, in the order given; '0' for none."""
     parts = []
     for e, c in terms:
@@ -122,12 +122,12 @@ def _terms_text(F, terms, var):
 
 
 def sparse_text(f):
-    return _terms_text(f.field, f.terms, "x")
+    return terms_text(f.field, f.terms, "x")
 
 
 def linpoly_text(R, var="y"):
     terms = [(1 << i, a) for i, a in enumerate(R.coeffs) if a]
-    return _terms_text(R.field, reversed(terms), var)
+    return terms_text(R.field, reversed(terms), var)
 
 
 def equation_text(curve):

@@ -10,10 +10,10 @@ from sscurves.builder import (FibreProductSpec, build_components,
 from sscurves.decomp import decompose
 from sscurves.field import _xor_rows, f2_span, make_field
 from sscurves.linops import (as_genus, as_reduce, lin, lin_add, sparse,
-                             sparse_add, sparse_twist, times_x)
+                             sparse_twist, times_x)
 from sscurves import jsonio
 
-from sparse_helpers import as_dict, sparse_scale
+from sparse_helpers import as_dict, sparse_add, sparse_scale
 
 F2 = make_field(1)
 F16 = make_field(4)

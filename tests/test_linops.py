@@ -9,11 +9,11 @@ from sscurves.limits import CapacityError
 from sscurves.linops import (as_genus, as_reduce, lin, lin_add, lin_eval,
                              lin_images, lin_kernel, lin_monomial,
                              lin_rmod, lin_twist,
-                             definition_field, sparse, sparse_add,
+                             definition_field, sparse, sparse_span,
                              sparse_twist, splitting_degree, times_x)
 
 from poly_helpers import lin_compose
-from sparse_helpers import as_dict
+from sparse_helpers import as_dict, span_oracle, sparse_add
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -253,3 +253,27 @@ def test_definition_field():
     assert as_dict(small) == {3: 2, 5: 1}
     g = sparse(F64, {3: 2})          # the F_64 generator needs full degree
     assert definition_field(g).field is F64
+
+
+def test_sparse_span_on_hand_made_bases():
+    # the column walk against one sparse_add per member, on reduced bases
+    # (odd exponents and a constant) whose sums cancel in every way
+    F8 = make_field(3)
+    bases = [
+        # the x^5 column sums to zero at mask 0b11, and x^1 appears only there
+        [sparse(F8, {5: 3, 3: 1}), sparse(F8, {5: 3, 1: 2})],
+        # x^7 cancels at mask 0b011: that sum, 2x^5 + x^3, has genus 2, not 3
+        [sparse(F8, {7: 1, 3: 1}), sparse(F8, {7: 1, 5: 2}), sparse(F8, {9: 4})],
+        # constant terms, one of them a whole basis polynomial
+        [sparse(F8, {3: 1, 0: 1}), sparse(F8, {0: 1}), sparse(F8, {5: 6, 0: 5})],
+    ]
+    for basis in bases:
+        rows = sparse_span(basis)
+        assert rows == [f.terms for f in span_oracle(basis, F8)], basis
+        for r in rows:
+            if r and r[0][0]:
+                assert (r[0][0] - 1) // 2 == as_genus(sparse(F8, r)), r
+    assert sparse_span(bases[0])[3] == ((3, 1), (1, 2))
+    assert sparse_span(bases[1])[3] == ((5, 2), (3, 1))
+    assert sparse_span(bases[2])[2] == ((0, 1),)
+    assert sparse_span([]) == [()]

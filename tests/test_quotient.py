@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from sscurves.builder import CurveSpec, build_prime_field, glue_single_block, \
-    build_components, stratum_rows
+    build_components, fibre_combinations, stratum_rows
 from sscurves.decomp import decompose
 from sscurves.field import (_xor_rows, embedding_into, extend_and_embed,
                             make_field, pgcd)
@@ -16,9 +16,11 @@ from sscurves.linops import (as_genus, as_reduce, lin, lin_add, lin_eval,
                              lin_kernel, lin_scale, lin_twist,
                              splitting_degree)
 from sscurves.quotient import (decomposition, dual_equation, is_irreducible,
-                               quotient_curve, solve_alpha_space, split)
+                               quotient_curve, quotient_rows,
+                               solve_alpha_space, split)
 
-from sparse_helpers import as_dict, sparse_scale
+from sparse_helpers import (as_dict, combinations_oracle, decomposition_oracle,
+                            sparse_scale)
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -353,7 +355,6 @@ def test_flag_strata_match_quotient_genus():
 
 
 def test_glued_quotients_match_components():
-    from sscurves.builder import fibre_combinations
     spec = build_components(decompose(30))
     glued = glue_single_block(spec)
     quot_rhs = {p.rhs.terms for p in decomposition(glued)}
@@ -365,3 +366,45 @@ def test_glued_quotient_sums_single_block_genera():
     for g in (3, 7, 12, 30):
         glued = glue_single_block(build_components(decompose(g)))
         assert sum(p.genus for p in decomposition(glued)) == g, g
+
+
+def test_column_walk_matches_the_sum_walk():
+    # decomposition, quotient_rows and fibre_combinations against the
+    # reference walk (one sparse_add per member): every fixture, seeded
+    # genera in both modes, and seeded curves whose sums cancel their top
+    # exponent
+    curves = [load_curve(os.path.join(FIXTURES, f))
+              for f in sorted(os.listdir(FIXTURES)) if f.endswith(".json")]
+    assert len(curves) == 6
+    rng = random.Random(31)
+    for g in rng.sample(range(2, 1100), 12):
+        d = decompose(g)
+        curves += [build_prime_field(d), build_components(d)]
+        if d.t == 1:
+            curves.append(glue_single_block(curves[-1]))
+    cancelled = 0
+    while cancelled < 3:
+        F = make_field(rng.randrange(2, 4))
+        S = lin(F, [rng.randrange(1, F.order)]
+                + [rng.randrange(F.order) for _ in range(2)] + [1])
+        c = CurveSpec(F, S, tuple(lin(F, [rng.randrange(F.order)
+                                          for _ in range(4)])
+                                  for _ in range(3)))
+        if not is_irreducible(c):
+            continue
+        # piece mask - 1 sums the basis quotients at pieces[2^k - 1]
+        tops = [p.rhs.degree for p in decomposition_oracle(c)]
+        cancelled += any(tops[m - 1] < max(tops[(1 << k) - 1] for k in range(3)
+                                           if m >> k & 1) for m in range(1, 8))
+        curves.append(c)
+    for c in curves:
+        if isinstance(c, CurveSpec):
+            want = decomposition_oracle(c)
+            assert decomposition(c) == want, c
+            F, rows = quotient_rows(c)
+            assert F == want[0].field
+            assert rows == [(p.alpha, p.genus, p.rhs.terms) for p in want]
+            assert all(p.genus == as_genus(p.rhs) for p in want)
+        else:
+            assert fibre_combinations(c) == combinations_oracle(c), c
+

@@ -52,8 +52,8 @@ def _dlog(F, c):
     """Least e >= 0 with a^e = c for the generator a, or None if c is not in <a>."""
     if c == 0:
         return None
-    if F.ensure_tables():
-        return F.tables[1][c]
+    if F._log is not None or F.ensure_tables():
+        return F._log[c]
     return _pohlig_hellman(F, c)
 
 

@@ -170,5 +170,8 @@ def quotient_rows(c, max_degree=DEFAULT_MAX_DEGREE):
 def decomposition(c, max_degree=DEFAULT_MAX_DEGREE):
     """Quotient curves for every nonzero alpha, in the order of members()."""
     F, rows = quotient_rows(c, max_degree=max_degree)
-    return [QuotientCurve(alpha, SparsePoly(F, t), genus)
-            for alpha, genus, t in rows]
+    # The right-hand sides are made before the curves, so a caller that keeps
+    # them and drops the curves (zeta._pieces) frees whole allocator pools.
+    rhs = [SparsePoly(F, t) for _, _, t in rows]
+    return [QuotientCurve(alpha, f, genus)
+            for (alpha, genus, _), f in zip(rows, rhs)]

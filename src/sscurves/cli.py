@@ -116,8 +116,8 @@ def cmd_quotients(args):
     if not isinstance(curve, CurveSpec):
         raise ValueError("quotients need a single-equation curve file")
     F, rows = quotient_rows(curve, max_degree=budget.max_degree)
-    lines = ["%d quotients, genus total %d" % (len(rows),
-                                               sum(r[1] for r in rows))]
+    lines = ["%d quotients, genus total %d"
+             % (len(rows), sum(genus for _, genus, _ in rows))]
     lines += ["alpha=0x%x  genus %d  w^2+w = %s"
               % (alpha, genus, render.terms_text(F, terms, "x"))
               for alpha, genus, terms in rows]

@@ -205,6 +205,9 @@ def test_quotients_at_the_frontier_are_pinned(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("g, mode, pins", [
+    # 127 pieces and 223 terms, coefficients rendered through the F_2^20
+    # log table
+    (223, "f2", "g223_f2.quotients.sha256"),
     # pieces with two terms, coefficients rendered through the F_2^14 log table
     (383, "f2", "g383_f2.quotients.sha256"),
     # 1,023 single-term pieces

@@ -21,10 +21,10 @@ generator to the smallest root of its modulus in the extension, found by
 splitting the modulus at degree d in the subfield that a relative trace
 generates, not in the extension.
 
-Fields of degree at most 20 build exp/log tables of the powers of x on
-request (``ensure_tables``, read through ``tables``); they are the
-discrete logs to base x that ``render`` prints, and no arithmetic here
-reads them.
+Fields of degree at most 20 build a table of logs to base x on request
+(``ensure_tables``, read through ``tables``), in one walk over the powers
+of x; they are the discrete logs that ``render`` prints, and no
+arithmetic here reads them.
 """
 
 from itertools import accumulate, chain
@@ -33,7 +33,7 @@ from operator import xor
 from . import gf2x
 from .limits import DEFAULT_MAX_DEGREE, CapacityError
 
-# Fields at or below this degree get exp/log tables on first use.
+# Fields at or below this degree get a log table on first use.
 _TABLE_MAX_DEGREE = 20
 
 
@@ -41,7 +41,7 @@ class BinaryField:
     """Arithmetic in F_{2^N} = GF(2)[x]/(modulus), elements as bit vectors."""
 
     __slots__ = ("degree", "modulus", "order", "_trace_dual",
-                 "_sqr_tables", "_exp", "_log", "_generator_order",
+                 "_sqr_tables", "_log", "_generator_order",
                  "_baby_steps")
 
     def __init__(self, degree, modulus):
@@ -54,7 +54,6 @@ class BinaryField:
         self.order = 1 << degree
         self._trace_dual = None
         self._sqr_tables = None
-        self._exp = None
         self._log = None
         self._generator_order = None
         self._baby_steps = {}       # render's discrete-log tables, by prime
@@ -200,27 +199,25 @@ class BinaryField:
             self._trace_dual = dual
         return dual
 
-    # -- discrete exp/log tables -------------------------------------------
+    # -- discrete log table ------------------------------------------------
 
     def ensure_tables(self):
-        """Build the tables of x for small fields; returns True when available.
+        """Build the log table of x in a small field; True when available.
 
-        exp[e] = x^e for e < ord(x), and log[c] is the least such e, or
-        None for c outside <x>.
+        log[c] is the least e with x^e = c, or None for c outside <x>.  The
+        walk steps from 1 through the powers of x until it is back at 1.
         """
-        if self._exp is not None:
+        if self._log is not None:
             return True
         if self.degree > _TABLE_MAX_DEGREE:
             return False
-        order, _ = self.generator_order()
-        exp = [1] * order
         log = [None] * self.order
-        v = 1
-        for i in range(order):
-            exp[i] = v
-            log[v] = i
-            v = self.mul(v, self.generator)
-        self._exp, self._log = exp, log
+        mul, x = self.mul, self.generator
+        v, e = 1, 0
+        while log[v] is None:
+            log[v] = e
+            v, e = mul(v, x), e + 1
+        self._log = log
         return True
 
     def primitive(self):
@@ -234,7 +231,8 @@ class BinaryField:
 
     @property
     def tables(self):
-        return self._exp, self._log
+        """(log,), with log None until ``ensure_tables`` builds it."""
+        return (self._log,)
 
     def generator_order(self):
         """(ord(x), ((p, k), ...)): the order of x and its factorization."""

@@ -6,11 +6,11 @@ otherwise; the generator of the prime field is 1 so prime-field equations
 carry no coefficient prefixes at all.
 
 The exponent of a coefficient c is its least discrete logarithm e to base
-a, found without walking the field.  Fields of degree at most 20 read it
-off the field's log table, which holds the logs to base a (None outside
-the orbit of a).  Larger fields run Pohlig-Hellman over the factorization
-of ord(a) (cached on the field), with baby-step giant-step for the digit
-at each prime.  The baby-step table of a prime depends on the prime alone,
+a.  Fields of degree at most 20 read it off the field's log list, built
+once in one walk over the powers of a (None outside the orbit of a).
+Larger fields run Pohlig-Hellman over the factorization of ord(a) (cached
+on the field), with baby-step giant-step for the digit at each prime.
+The baby-step table of a prime depends on the prime alone,
 so a table of at most _MAX_CACHED_STEPS = 2^16 steps (p <= 2^32, every
 prime of ord(a) at degrees up to 64 that is not beyond the next bound) is
 built once and kept on the field for its lifetime (about 5 MB at

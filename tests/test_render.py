@@ -45,17 +45,26 @@ def test_canonical_generators_that_are_not_primitive():
         order, _ = F.generator_order()
         assert (order < F.order - 1) == (n in proper), n
     for n in proper:
-        F = make_field(n)
+        F = BinaryField(n, make_field(n).modulus)
         order, _ = F.generator_order()
         assert (F.order - 1) % order == 0
+        assert F.tables == (None,)
         assert F.ensure_tables()
-        assert len(F.tables[0]) == order and F.tables[1][F.generator] == 1
+        log, = F.tables
+        # exactly ord(x) entries are set, one for each exponent
+        assert sorted(e for e in log if e is not None) == list(range(order))
         rng = random.Random(n)
-        inside = [F.pow(F.generator, rng.randrange(order)) for _ in range(20)]
+        exps = [0, 1, order - 1] + [rng.randrange(order) for _ in range(20)]
+        assert [log[F.pow(F.generator, e)] for e in exps] == exps, n
+        inside = [F.pow(F.generator, e) for e in exps]
         drawn = [rng.randrange(1, F.order) for _ in range(20)]
         assert [_dlog(F, c) for c in inside + drawn] == [
             scan_dlog(F, c) for c in inside + drawn], n
+        assert [_dlog(F, c) is None for c in drawn] == [
+            F.pow(c, order) != 1 for c in drawn], n
         assert any(_dlog(F, c) is None for c in drawn), n
+    F = BinaryField(21, make_field(21).modulus)
+    assert not F.ensure_tables() and F.tables == (None,)
     F = make_field(8)
     outside = [c for c in F.elements() if c and _dlog(F, c) is None]
     assert len(outside) == F.order - 1 - F.generator_order()[0]
@@ -92,6 +101,19 @@ def test_pohlig_hellman_round_trip(data, n):
         assert got < order and F.pow(F.generator, got) == c
     else:
         assert got is None
+    assert F.tables == (None,)       # Pohlig-Hellman builds no log list
+
+
+def test_terms_text_constant_terms():
+    # a constant term prints its coefficient alone: a power of a, the hex
+    # fallback outside <a>, or 1
+    F4 = make_field(2)
+    assert render.terms_text(F4, [(5, 3), (3, 1), (0, 2)], "x") == (
+        "a^2*x^5+x^3+a")
+    assert render.terms_text(F4, [(0, 1)], "x") == "1"
+    F = make_field(8)           # x is not primitive at degree 8
+    c = next(c for c in F.elements() if c and _dlog(F, c) is None)
+    assert render.terms_text(F, [(1, 1), (0, c)], "x") == "x+0x%x" % c
 
 
 def test_pohlig_hellman_edges():

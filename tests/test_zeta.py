@@ -227,7 +227,7 @@ def test_enumerate_without_tables(monkeypatch, n):
             monkeypatch.setattr(zeta, "_BLOCK", block)
             assert (1 + zeta._enumerate(F, [comps[0].terms]),
                     1 + zeta._enumerate(F, [f.terms for f in comps])) == want
-    assert F.tables == (None, None)
+    assert F.tables == (None,)
 
 
 # -- the quadratic-form route against enumeration -----------------------------

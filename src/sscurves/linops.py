@@ -264,18 +264,17 @@ def as_genus(f):
     """Genus of the smooth complete curve y^2 + y = f for a polynomial f.
 
     The reduced form has odd degree d (one totally ramified place at
-    infinity), giving genus (d-1)/2; a constant reduced form is rational.
-    A zero reduced form means the cover splits and is rejected.
+    infinity), giving genus (d-1)/2.  A constant reduced form c is rejected:
+    the cover splits, as y^2 + y = c has two roots over the closure.
     """
     if f.is_zero():
         raise ValueError("zero right-hand side: cover is reducible")
     r = as_reduce(f)
     if r.is_zero():
         raise ValueError("right-hand side in the Artin-Schreier image: cover is reducible")
-    d = r.degree
-    if d == 0:
-        return 0
-    return (d - 1) // 2
+    if not r.degree:
+        raise ValueError("constant reduced right-hand side: cover is reducible")
+    return (r.degree - 1) // 2
 
 
 def definition_field(f):

@@ -11,6 +11,7 @@ from sscurves.linops import (as_genus, as_reduce, lin, lin_add, lin_eval,
                              lin_rmod, lin_twist,
                              definition_field, sparse, sparse_span,
                              sparse_twist, splitting_degree, times_x)
+from sscurves.zeta import count_artin_schreier
 
 from poly_helpers import lin_compose
 from sparse_helpers import as_dict, span_oracle, sparse_add
@@ -211,6 +212,15 @@ def test_as_genus():
         as_genus(sparse(F2, {}))
     with pytest.raises(ValueError):
         as_genus(sparse_add(sparse(F4, {6: 1}), sparse(F4, {3: 1})))  # x^6+x^3 = p(x^3)
+    # x^2 + x + 1 reduces to 1: w^2 + w = c splits over the closure, and
+    # counting refuses such a right-hand side too
+    for terms in ({2: 1, 1: 1, 0: 1}, {0: 1}, {4: 1, 1: 1, 0: 3}):
+        f = sparse(F4, terms)
+        assert as_reduce(f).degree == 0, terms
+        with pytest.raises(ValueError):
+            as_genus(f)
+        with pytest.raises(ValueError):
+            count_artin_schreier(f, 1)
 
 
 def test_as_genus_invariances():

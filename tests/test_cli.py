@@ -648,6 +648,27 @@ def test_non_list_fields_are_refused(capsys, tmp_path):
                 2, "", "error: %s\n" % message), (cmd, message)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(field={"degree": 4, "modulus": "0x11"}),
+     "bad field description: modulus is not irreducible"),
+    (lambda doc: doc["field"].update(modulus="0x7"),
+     "bad field description: modulus degree mismatch"),
+    (lambda doc: doc["field"].update(modulus="zz"),
+     "bad field description: invalid literal for int() with base 16: 'zz'"),
+    (lambda doc: doc["S"].__setitem__(0, "zz"), "bad field element 'zz'"),
+    (lambda doc: doc["S"].__setitem__(0, "0x2"),
+     "element 0x2 out of range for degree 1"),
+    (lambda doc: doc.update(S=5),
+     "linearized polynomial must be a coefficient list"),
+    (lambda doc: doc.update(kind="triple"), "unknown curve kind 'triple'")])
+def test_malformed_fields_and_elements_are_refused(capsys, tmp_path, edit,
+                                                    message):
+    path = edited_fixture(tmp_path, "g1_f2.json", edit)
+    for cmd in ("verify", "count", "quotients"):
+        assert run_full(capsys, cmd, path) == (
+            2, "", "error: %s\n" % message), cmd
+
+
 def test_single_equation_genus_ignores_metadata(capsys, tmp_path):
     # metadata claiming genus 6 for the genus-5 fixture changes nothing
     good = os.path.join(FIXTURES, "g5_f2.json")

@@ -53,7 +53,7 @@ def radical(R, max_degree=DEFAULT_MAX_DEGREE):
     E = e_poly(R)
     k = splitting_degree(E, max_degree=max_degree)
     ext, emb = extend_and_embed(R.field, k, max_degree=max_degree)
-    return RadicalBasis(ext, tuple(lin_kernel(E, ext, emb)))
+    return RadicalBasis(ext, tuple(lin_kernel(E.map_field(emb))))
 
 
 def scaling_orbit(R, rho):

@@ -93,13 +93,15 @@ def cmd_construct(args):
                 raise ValueError("--glue needs a single-block genus "
                                  "(g = %d has %d blocks)" % (args.g, d.t))
             curve = glue_single_block(curve)
-    if isinstance(curve, CurveSpec):
-        lines = [render.equation_text(curve)] + render.xr_table(curve)
-    else:
-        lines = render.component_lines(curve)
-    cert = stratum_certificate(d)
-    lines.append("genus certificate: %s, total %d"
-                 % ([[c, g] for c, g in cert.strata], cert.total))
+    lines = []
+    if not args.json:   # a discrete log here can exit 3, before --out is written
+        if isinstance(curve, CurveSpec):
+            lines = [render.equation_text(curve)] + render.xr_table(curve)
+        else:
+            lines = render.component_lines(curve)
+        cert = stratum_certificate(d)
+        lines.append("genus certificate: %s, total %d"
+                     % ([[c, g] for c, g in cert.strata], cert.total))
     if args.json or args.out:   # one encoding for the file and stdout
         text = jsonio.dumps(jsonio.curve_to_json(curve, construction))
     if args.out:

@@ -165,13 +165,10 @@ class BinaryField:
     def sqrt(self, a):
         return self.frobenius(a, self.degree - 1)
 
-    def trace_mask(self):
-        """Bitmask m with trace(a) == parity of popcount(a & m); trace is F_2-linear."""
-        return self.trace_dual()[0]
-
     def trace(self, a):
-        """Absolute trace to F_2: sum of a^(2^i) for i < N, landing in {0,1}."""
-        return (a & self.trace_mask()).bit_count() & 1
+        """Absolute trace to F_2: sum of a^(2^i) for i < N, landing in {0,1};
+        the parity of popcount(a & m) for the first row m of trace_dual."""
+        return (a & self.trace_dual()[0]).bit_count() & 1
 
     def trace_dual(self):
         """Bitmask rows d_k = {j : Tr(gamma^k gamma^j) = 1} of the trace form.

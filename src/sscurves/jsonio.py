@@ -93,9 +93,14 @@ def field_from_json(obj, max_degree=DEFAULT_MAX_DEGREE):
     if degree > max_degree:
         raise CapacityError("field degree %d exceeds bound %d"
                             % (degree, max_degree))
+    modulus = obj["modulus"]
     try:
-        return BinaryField(degree, int(obj["modulus"], 16))
-    except (TypeError, ValueError) as ex:
+        modulus = int(modulus, 16)
+    except (TypeError, ValueError):
+        raise ValueError("bad field modulus %r" % (modulus,))
+    try:
+        return BinaryField(degree, modulus)
+    except ValueError as ex:
         raise ValueError("bad field description: %s" % ex)
 
 
@@ -138,8 +143,10 @@ def sparse_from_json(obj, F):
     return sparse(F, terms)
 
 
-def curve_to_json(curve, construction=None):
-    """CurveFile document for a single-equation curve or a fibre product."""
+def curve_to_json(curve, construction):
+    """CurveFile document for a single-equation curve or a fibre product,
+    with the construction parameters and the stratum certificate of
+    construction["g"] in its metadata."""
     doc = {"format": "curve"}
     if isinstance(curve, CurveSpec):
         doc["kind"] = "single"
@@ -152,15 +159,13 @@ def curve_to_json(curve, construction=None):
         doc["components"] = [sparse_to_json(f) for f in curve.components]
     else:
         raise TypeError("cannot serialize %r" % type(curve).__name__)
-    meta = {"tool_version": __version__}
-    if construction is not None:
-        meta["construction"] = construction
-        cert = stratum_certificate(decompose(construction["g"]))
-        meta["certificate"] = {
-            "strata": [[c, g] for c, g in cert.strata],
-            "total": cert.total,
-        }
-    doc["metadata"] = meta
+    cert = stratum_certificate(decompose(construction["g"]))
+    doc["metadata"] = {
+        "tool_version": __version__,
+        "construction": construction,
+        "certificate": {"strata": [[c, g] for c, g in cert.strata],
+                        "total": cert.total},
+    }
     return doc
 
 

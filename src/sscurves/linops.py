@@ -57,9 +57,9 @@ def lin(field, coeffs):
     return LinPoly(field, tuple(coeffs))
 
 
-def lin_monomial(field, i, a=1):
-    """a * x^(2^i)."""
-    return lin(field, [0] * i + [a])
+def lin_monomial(field, i):
+    """x^(2^i)."""
+    return lin(field, [0] * i + [1])
 
 
 def lin_eval(R, x):
@@ -139,18 +139,10 @@ def lin_rmod(R, S):
     return LinPoly(F, tuple(r))
 
 
-def lin_kernel(R, ambient, embedding=None):
-    """Canonical F_2-basis of the roots of R in the ambient field.
-
-    R's coefficient field must coincide with ambient or embed into it; a
-    deterministic embedding is constructed when none is supplied.
-    """
+def lin_kernel(R):
+    """Canonical F_2-basis of the roots of R in R's own field."""
     if R.is_zero():
         raise ValueError("kernel of the zero polynomial")
-    if R.field != ambient:
-        if embedding is None:
-            embedding = embedding_into(R.field, ambient)
-        R = R.map_field(embedding)
     return F2LinearMap(lin_images(R)).kernel_basis()
 
 

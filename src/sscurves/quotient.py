@@ -82,7 +82,7 @@ def solve_alpha_space(c, max_degree=DEFAULT_MAX_DEGREE):
     k = splitting_degree(eq, max_degree=max_degree)
     ext, emb = extend_and_embed(c.field, k, max_degree=max_degree)
     eq_ext = eq.map_field(emb)
-    basis = lin_kernel(eq_ext, ext)
+    basis = lin_kernel(eq_ext)
     assert len(basis) == c.n, "separable dual equation must split completely"
     return AlphaSpace(ext, tuple(basis), emb, eq_ext)
 

@@ -114,7 +114,7 @@ def count_points(curve, k, budget=DEFAULT_BUDGET):
     # alpha^(2^(n-1)), alpha in the kernel of the dual equation.
     terms = curve.derived_T().map_field(emb).terms
     betas = [ext.frobenius(a, curve.n - 1)
-             for a in lin_kernel(dual_equation(curve), ext, emb)]
+             for a in lin_kernel(dual_equation(curve).map_field(emb))]
     return _count(ext, [[(e, ext.mul(beta, t)) for e, t in terms]
                         for beta in betas])
 
@@ -347,12 +347,10 @@ def _classes(pieces):
     return classes
 
 
-def count_series(curve, genus, budget=DEFAULT_BUDGET, kmax=None):
-    """CountSeries for k = 1..kmax (default genus + 2), Weil-checked."""
-    if kmax is None:
-        kmax = genus + 2
+def count_series(curve, genus, budget=DEFAULT_BUDGET):
+    """CountSeries for k = 1..genus + 2, Weil-checked."""
     q = curve.field.order
-    counts = tuple(count_points(curve, k, budget) for k in range(1, kmax + 1))
+    counts = tuple(count_points(curve, k, budget) for k in range(1, genus + 3))
     return CountSeries(q, counts, genus).check_weil()
 
 

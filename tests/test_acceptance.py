@@ -101,7 +101,7 @@ def test_c04_numeric_supersingularity_small_genus():
     for g in range(1, 13):
         c = build_prime_field(decompose(g))
         assert is_irreducible(c)
-        series = count_series(c, g, budget, kmax=g + 2)
+        series = count_series(c, g, budget)
         L = lpoly_from_counts(CountSeries(series.q, series.counts[:g], g))
         assert len(L.coeffs) - 1 == 2 * g
         assert check_functional_equation(L)
@@ -151,8 +151,7 @@ def test_c06_hyperelliptic_family_property():
                 rhs = times_x(R)
                 g = as_genus(rhs)
                 assert g == 1 << (h - 1)
-                series = count_series(QuotientCurve(0, rhs, g), g, budget,
-                                      kmax=g)
+                series = count_series(QuotientCurve(0, rhs, g), g, budget)
                 L = lpoly_from_counts(series)
                 assert len(L.coeffs) - 1 == 2 * g
                 np_report = newton_polygon(L, deg)

@@ -8,7 +8,9 @@ import time
 import pytest
 
 from sscurves import cli, jsonio
+from sscurves.builder import build_components, glue_single_block
 from sscurves.cli import main
+from sscurves.decomp import decompose
 from sscurves.limits import DEFAULT_LOG2_POINTS
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -653,14 +655,21 @@ def test_non_list_fields_are_refused(capsys, tmp_path):
      "bad field description: modulus is not irreducible"),
     (lambda doc: doc["field"].update(modulus="0x7"),
      "bad field description: modulus degree mismatch"),
-    (lambda doc: doc["field"].update(modulus="zz"),
-     "bad field description: invalid literal for int() with base 16: 'zz'"),
+    (lambda doc: doc["field"].update(modulus="zz"), "bad field modulus 'zz'"),
+    (lambda doc: doc["field"].update(modulus=19), "bad field modulus 19"),
     (lambda doc: doc["S"].__setitem__(0, "zz"), "bad field element 'zz'"),
     (lambda doc: doc["S"].__setitem__(0, "0x2"),
      "element 0x2 out of range for degree 1"),
     (lambda doc: doc.update(S=5),
      "linearized polynomial must be a coefficient list"),
-    (lambda doc: doc.update(kind="triple"), "unknown curve kind 'triple'")])
+    (lambda doc: doc.update(kind="triple"), "unknown curve kind 'triple'"),
+    # the shape CurveSpec.validate asks of S and of the R slots
+    (lambda doc: doc["S"].__setitem__(0, "0x0"),
+     "S must have a nonzero coefficient of y"),
+    (lambda doc: doc.update(field={"degree": 2, "modulus": "0x7"},
+                            S=["0x1", "0x2"]), "S must be monic"),
+    (lambda doc: doc["R"].append(["0x1"]), "expected 1 twist slots"),
+    (lambda doc: doc.update(R=[["0x0"]]), "all R_k vanish")])
 def test_malformed_fields_and_elements_are_refused(capsys, tmp_path, edit,
                                                     message):
     path = edited_fixture(tmp_path, "g1_f2.json", edit)
@@ -945,6 +954,30 @@ def test_construct_builds_its_field_under_max_degree(capsys, tmp_path):
                "--max-degree", "5", "--out", str(out))[0] == 0
     assert run(capsys, "construct", "--mode", "f2", "5",
                "--max-degree", "1")[0] == 0
+
+
+def test_construct_json_renders_nothing(capsys, tmp_path):
+    # the glued curves of genus 2^w - 1 for w = 49, 59, 61 and 62 have
+    # coefficients whose discrete logs are past the budget (w = 49, 59, 61)
+    # or take about a second each (w = 62): construct --json exited 3 or ran
+    # past a minute while it rendered text lines it never printed
+    with open(os.path.join(FIXTURES, "expected",
+                           "g2w-1_f2m_glued.construct.sha256")) as fh:
+        pinned = dict(line.split()[::-1] for line in fh)
+    for w in (49, 59, 61, 62):
+        g = (1 << w) - 1
+        rc, out = run(capsys, "construct", "--mode", "f2m", "--glue", str(g),
+                      "--json")
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (
+            0, pinned["g%d_f2m_glued.json" % g]), w
+        assert jsonio.curve_from_json(json.loads(out)) == glue_single_block(
+            build_components(decompose(g)))
+    # text output still renders first, and exits 3 before --out is written
+    out = tmp_path / "g49.json"
+    rc, stdout, err = run_full(capsys, "construct", "--mode", "f2m", "--glue",
+                               str((1 << 49) - 1), "--out", str(out))
+    assert (rc, stdout) == (3, "") and "discrete log in F_2^49" in err
+    assert not out.exists()
 
 
 def test_count_above_degree_64_within_both_bounds(capsys):

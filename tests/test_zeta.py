@@ -501,9 +501,9 @@ def test_ladder_counts_once_per_class(monkeypatch):
     calls = []
     series = zeta.count_series
 
-    def spy(curve, genus, budget=zeta.DEFAULT_BUDGET, kmax=None):
+    def spy(curve, genus, budget=zeta.DEFAULT_BUDGET):
         calls.append(curve)
-        return series(curve, genus, budget, kmax)
+        return series(curve, genus, budget)
 
     monkeypatch.setattr(zeta, "count_series", spy)
     report = verify_supersingular(build_components(decompose(63)), kmax=2)

@@ -232,6 +232,35 @@ def test_listings_of_built_curves_are_pinned(capsys, tmp_path, g, mode, pins):
             0, digest), name
 
 
+def test_text_rendered_by_pohlig_hellman_is_pinned(capsys, tmp_path):
+    # the text listings pinned above live in fields of degree <= 20, whose
+    # logs the log list answers; these four render through Pohlig-Hellman:
+    # the quotients of g239_f2 over F_2^24; F_2^21, where 7^2 divides ord(x)
+    # and the digit loop runs twice; F_2^32, where x is not primitive and
+    # coefficients outside its orbit print in hex; and F_2^49, whose prime
+    # 4,432,676,798,593 is past the baby-step bound, so the short walk finds
+    # the digits
+    curve = str(tmp_path / "g239_f2.json")
+    assert run(capsys, "construct", "--mode", "f2", "239",
+               "--out", curve)[0] == 0
+    commands = {
+        "g239_f2.quotients.txt": ["quotients", curve],
+        "g2097151_f2m.construct.txt": ["construct", "--mode", "f2m",
+                                       "2097151"],
+        "g4294967295_f2m_glued.construct.txt": ["construct", "--mode", "f2m",
+                                                "--glue", "4294967295"],
+        "g562949953421311_f2m.construct.txt": ["construct", "--mode", "f2m",
+                                               "562949953421311"]}
+    with open(os.path.join(FIXTURES, "expected",
+                           "pohlig_hellman.text.sha256")) as fh:
+        pinned = dict(line.split()[::-1] for line in fh)
+    assert sorted(pinned) == sorted(commands)
+    for name, argv in commands.items():
+        rc, out = run(capsys, *argv)
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (
+            0, pinned[name]), name
+
+
 def test_output_determinism(capsys):
     rc1, out1 = run(capsys, "construct", "--mode", "f2m", "109", "--json")
     rc2, out2 = run(capsys, "construct", "--mode", "f2m", "109", "--json")

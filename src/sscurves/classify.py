@@ -90,15 +90,18 @@ def _binomial_roots(F, c, d, max_degree):
 def curves_isomorphic(R, R2, max_degree=DEFAULT_MAX_DEGREE):
     """Witness for an isomorphism of the covers of R and R2, or None.
 
-    Both must live over a common field with equal 2-degree h >= 1 and
-    nonzero top coefficients.  The supports above index 0 must coincide;
-    the lowest supported index then confines rho to finitely many
-    candidates, each checked against every remaining coefficient relation.
+    Both must live over a common field and have 2-degree at least 1
+    (ValueError otherwise); unequal 2-degrees give None.  The supports
+    above index 0 must coincide; the lowest supported index then confines
+    rho to finitely many candidates, each checked against every remaining
+    coefficient relation.
     """
     if R.field != R2.field:
         raise ValueError("coefficient fields differ")
+    if not (R.h and R2.h):
+        raise ValueError("R must have 2-degree >= 1")
     h = R.h
-    if not h or h != R2.h:
+    if h != R2.h:
         return None
     support = [i for i in R.support() if i >= 1]
     if support != [i for i in R2.support() if i >= 1]:

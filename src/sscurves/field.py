@@ -406,21 +406,11 @@ def pmonic(F, a):
 
 
 def psqr(F, a):
-    if not a:
-        return []
     out = [0] * (2 * len(a) - 1)
     for i, c in enumerate(a):
         if c:
             out[2 * i] = F.sqr(c)
     return ptrim(out)
-
-
-def frobenius_power_mod(F, m, steps):
-    """x^(2^steps) reduced mod m, via repeated squaring."""
-    t = pmod(F, [0, 1], m)
-    for _ in range(steps):
-        t = pmod(F, psqr(F, t), m)
-    return t
 
 
 def poly_roots(F, coeffs):
@@ -434,21 +424,14 @@ def poly_roots(F, coeffs):
     coeffs = ptrim(list(coeffs))
     if len(coeffs) <= 1:
         return []
-    roots = []
-    if coeffs[0] == 0:
-        roots.append(0)
-        coeffs = ptrim(coeffs[1:])
-        if not coeffs or coeffs[0] == 0:
-            return None  # repeated root 0
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return roots
-    if deg == 1:
-        return sorted(roots + [F.div(coeffs[0], coeffs[1])])
-    coeffs = pmonic(F, coeffs)
-    if frobenius_power_mod(F, coeffs, F.degree) != [0, 1]:
+    f = pmonic(F, coeffs)
+    x = t = pmod(F, [0, 1], f)
+    for _ in range(F.degree):
+        t = pmod(F, psqr(F, t), f)
+    if t != x:
         return None
-    _trace_split(F, coeffs, 1, roots)
+    roots = []
+    _trace_split(F, f, 1, roots)
     return sorted(roots)
 
 

@@ -241,14 +241,11 @@ def as_reduce(f):
     pending = [e for e in acc if e > 0 and e % 2 == 0]
     while pending:
         e = pending.pop()
-        c = acc.pop(e, 0)
-        if not c:
-            continue
-        while e > 0 and e % 2 == 0:
+        c = acc.pop(e)
+        while e % 2 == 0:
             e >>= 1
             c = F.sqrt(c)
-        prev = acc.get(e, 0)
-        acc[e] = prev ^ c
+        acc[e] = acc.get(e, 0) ^ c
     return sparse(F, acc)
 
 

@@ -50,8 +50,6 @@ def coeff_text(F, c):
 
 def _dlog(F, c):
     """Least e >= 0 with a^e = c for the generator a, or None if c is not in <a>."""
-    if c == 0:
-        return None
     if F._log is not None or F.ensure_tables():
         return F._log[c]
     return _pohlig_hellman(F, c)

@@ -366,8 +366,6 @@ def lpoly_from_counts(series):
     """
     g = series.genus
     q = series.q
-    if g == 0:
-        return LPoly(q, (1,))
     if len(series.counts) < g:
         raise ValueError("need counts over the first %d extensions" % g)
     series.check_weil()

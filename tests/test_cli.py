@@ -854,6 +854,23 @@ def test_iso_covers_rejects_degree_0_bases(capsys, tmp_path):
         2, "", "error: bases need an element of 2-degree at least 1\n")
 
 
+def test_iso_curves_refuses_r_of_2_degree_below_1(capsys, tmp_path):
+    # y^2 + y = x is rational and R = 0 gives no curve: two copies of the
+    # constant R = 1 printed "not isomorphic" and exited 0; radical refuses
+    # them with the same message
+    files = {}
+    for name, coeffs in (("one", ["0x1"]), ("zero", []), ("x2", ["0x0", "0x1"])):
+        files[name] = str(tmp_path / (name + ".json"))
+        with open(files[name], "w") as fh:
+            json.dump({"field": {"degree": 4, "modulus": "0x13"},
+                       "coeffs": coeffs}, fh)
+    refused = (2, "", "error: R must have 2-degree >= 1\n")
+    for first, second in (("one", "one"), ("zero", "x2"), ("one", "x2")):
+        assert run_full(capsys, "iso", "--mode", "curves", files[first],
+                        files[second]) == refused, (first, second)
+    assert run_full(capsys, "radical", files["one"]) == refused
+
+
 def test_count_checks_validity_before_budget(capsys, tmp_path):
     # x^8193 and x^8193 + 1 sum to a constant: count refuses the file with
     # verify's message, also where the count would exceed the budget

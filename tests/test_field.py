@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sscurves import gf2x
 from sscurves.field import (BinaryField, F2LinearMap, _trace_split,
                             _xor_rows, embedding_into, extend_and_embed, f2_linear_solve,
-                            make_field, poly_roots)
+                            make_field, poly_roots, psqr)
 from sscurves.limits import CapacityError
 
 SMALL = settings(max_examples=150, deadline=None)
@@ -239,6 +239,8 @@ def test_sqr_on_every_basis_bit(n):
     F = make_field(n)
     for i in range(2 * n + 9):
         assert F.sqr(1 << i) == gf2x.mod(1 << (2 * i), F.modulus)
+        assert psqr(F, [0] * i + [1]) == [0] * (2 * i) + [1]
+    assert psqr(F, []) == []
 
 
 @SMALL
@@ -249,23 +251,38 @@ def test_frobenius_round_trip(data, n, k):
     assert F.frobenius(F.frobenius(a, k), -k) == a
 
 
-@SMALL
-@given(st.data(), st.integers(1, 8))
-def test_poly_roots_match_scan(data, n):
-    # random polynomials, and products of random linear factors (some
-    # repeated), against the roots found by scanning every element
+@st.composite
+def field_polys(draw):
+    """(n, coefficients): a random polynomial over F_2^n, or a product of
+    random linear factors (some repeated)."""
+    n = draw(st.integers(1, 8))
     F = make_field(n)
     elem = st.integers(0, F.order - 1)
-    if data.draw(st.booleans()):
-        coeffs = data.draw(st.lists(elem, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(elem, min_size=1, max_size=7))
     else:
-        coeffs = [data.draw(st.integers(1, F.order - 1))]
-        for r in data.draw(st.lists(elem, max_size=6)):
+        coeffs = [draw(st.integers(1, F.order - 1))]
+        for r in draw(st.lists(elem, max_size=6)):
             nxt = [0] * (len(coeffs) + 1)
             for i, c in enumerate(coeffs):
                 nxt[i + 1] ^= c
                 nxt[i] ^= F.mul(c, r)
             coeffs = nxt
+    return n, coeffs
+
+
+@SMALL
+@given(field_polys())
+@example((1, [0, 1]))           # x
+@example((2, [0, 1, 1]))        # x (x + 1)
+@example((2, [0, 0, 1]))        # x^2: a double root 0
+@example((2, [0, 0, 1, 1]))     # x^2 (x + 1)
+@example((4, [7]))              # a nonzero constant
+@example((4, [3, 5]))           # 5x + 3, not monic
+def test_poly_roots_match_scan(case):
+    # against the roots found by scanning every element
+    n, coeffs = case
+    F = make_field(n)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:

@@ -186,6 +186,9 @@ def test_as_reduce():
     expected = (F16.pow(a, 9) ^ F16.frobenius(F16.pow(a, 6), -3)
                 ^ 1 ^ F16.frobenius(F16.pow(a, 12), -1))
     assert as_dict(r) == {5: expected}
+    # even exponents merge into odd ones, where they cancel
+    assert as_dict(as_reduce(sparse(F2, {12: 1, 6: 1, 5: 1}))) == {5: 1}
+    assert as_dict(as_reduce(sparse(F2, {6: 1, 3: 1}))) == {}
 
 
 def test_as_reduce_properties():

@@ -95,7 +95,7 @@ def test_pohlig_hellman_round_trip(data, n):
     e = data.draw(st.integers(0, 4 * order))
     got = _dlog(F, F.pow(F.generator, e))
     assert got == e % order and got < order
-    c = data.draw(st.integers(1, F.order - 1))
+    c = data.draw(st.integers(0, F.order - 1))
     got = _dlog(F, c)
     if F.pow(c, order) == 1:
         assert got < order and F.pow(F.generator, got) == c
@@ -132,6 +132,7 @@ def test_large_prime_factor_fails_fast():
     F = make_field(61)            # 2^61 - 1 is prime
     t0 = time.perf_counter()
     assert _dlog(F, F.pow(F.generator, 60)) == 60     # small: still found
+    assert _dlog(F, 0) is None
     with pytest.raises(BudgetError):
         _dlog(F, F.pow(F.generator, 1 << 40))
     assert time.perf_counter() - t0 < 5

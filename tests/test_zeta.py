@@ -653,6 +653,8 @@ def test_lpoly_inconsistent_counts():
         lpoly_from_counts(CountSeries(2, (3, 4), 2))     # non-integral division
     with pytest.raises(InconsistentCounts):
         CountSeries(2, (100,), 1).check_weil()           # Weil violation
+    with pytest.raises(InconsistentCounts):
+        lpoly_from_counts(CountSeries(2, (4,), 0))       # genus 0 has q + 1
 
 
 def test_wrong_genus_hypothesis_caught_by_predictions():

@@ -153,9 +153,6 @@ def test_covers_isomorphic():
 def test_covers_dimension_mismatch():
     assert covers_isomorphic([lin(F16, [0, 1])],
                              [lin(F16, [0, 1]), lin(F16, [0, 0, 1])]) is None
-
-
-def test_covers_with_different_top_2_degrees():
-    # x^2 and x^4 span covers of genus 1 and 2
+    # equal dimensions, top 2-degrees 1 and 2
     assert covers_isomorphic([lin(F16, [0, 1])],
                              [lin(F16, [0, 0, 1])]) is None

@@ -215,12 +215,16 @@ def test_quotients_at_the_frontier_are_pinned(capsys, tmp_path):
     # 1,023 single-term pieces
     (1023, "f2", "g1023_f2.quotients.sha256"),
     # a fibre product: its pieces are fibre_combinations
-    (1000, "f2m", "g1000_f2m.verify.sha256")])
+    (1000, "f2m", "g1000_f2m.verify.sha256"),
+    # its alpha space splits over F_2^84: 2,047 pieces over subfields of
+    # degree 1-84, 145 of them counted and 1,902 certified
+    (6015, "f2", "g6015_f2.verify-d84.sha256")])
 def test_listings_of_built_curves_are_pinned(capsys, tmp_path, g, mode, pins):
     # each file holds sha256sum lines; the suffix of a name says the command
     commands = {".quotients.json": ["quotients", "--json"],
                 ".quotients.txt": ["quotients"],
-                ".verify.json": ["verify", "--json"]}
+                ".verify.json": ["verify", "--json"],
+                ".verify-d84.json": ["verify", "--json", "--max-degree", "84"]}
     curve = str(tmp_path / ("g%d_%s.json" % (g, mode)))
     assert run(capsys, "construct", "--mode", mode, str(g),
                "--out", curve)[0] == 0

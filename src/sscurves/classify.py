@@ -137,9 +137,7 @@ def covers_isomorphic(L, L2, max_degree=DEFAULT_MAX_DEGREE):
     Raises ValueError for an empty basis, a zero element, or bases whose
     elements all have 2-degree 0 (X^2 = c has no distinct roots to try).
     """
-    if len(L) != len(L2):
-        return None
-    if not L:
+    if not L or not L2:
         raise ValueError("empty basis")
     F = L[0].field
     if any(R.field != F for R in list(L) + list(L2)):
@@ -151,6 +149,8 @@ def covers_isomorphic(L, L2, max_degree=DEFAULT_MAX_DEGREE):
         return None
     if hmax == 0:
         raise ValueError("bases need an element of 2-degree at least 1")
+    if len(L) != len(L2):
+        return None
     src = max(L, key=lambda R: (R.h, R.coeffs))
     d = (1 << hmax) + 1
     seen = set()

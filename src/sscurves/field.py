@@ -199,13 +199,12 @@ class BinaryField:
     # -- discrete log table ------------------------------------------------
 
     def ensure_tables(self):
-        """Build the log table of x in a small field; True when available.
+        """Build the log table of x in a small field; True when built.
 
         log[c] is the least e with x^e = c, or None for c outside <x>.  The
         walk steps from 1 through the powers of x until it is back at 1.
+        Callers test ``_log`` first: a second call builds the table again.
         """
-        if self._log is not None:
-            return True
         if self.degree > _TABLE_MAX_DEGREE:
             return False
         log = [None] * self.order

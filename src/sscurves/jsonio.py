@@ -88,7 +88,7 @@ def field_from_json(obj, max_degree=DEFAULT_MAX_DEGREE):
     before the modulus is tested for irreducibility."""
     _need(obj, "field", ("degree", "modulus"))
     degree = obj["degree"]
-    if type(degree) is not int:         # true would pass isinstance(_, int)
+    if type(degree) is not int or degree < 1:  # isinstance would pass True
         raise ValueError("bad field degree %r" % (degree,))
     if degree > max_degree:
         raise CapacityError("field degree %d exceeds bound %d"

@@ -266,18 +266,15 @@ def as_genus(f):
     return (r.degree - 1) // 2
 
 
-def definition_field(f):
-    """Re-express f over the smallest subfield containing its coefficients.
+def definition_field(f, d):
+    """Re-express f over F_2^d, d the degree of the smallest subfield
+    containing its coefficients.
 
-    Returns an equivalent SparsePoly over the canonical field of that degree.
+    Returns an equivalent SparsePoly over the canonical field of degree d,
+    or f itself when d is the degree of its own field.
     """
     F = f.field
-    n = F.degree
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    for d in divisors:
-        if all(F.frobenius(c, d) == c for _, c in f.terms):
-            break
-    if d == n:
+    if d == F.degree:
         return f
     sub = make_field(d)
     emb = embedding_into(sub, F)

@@ -38,6 +38,8 @@ classes: a right-hand side and its coefficient-wise conjugates have the
 same counts at every k, since x -> x^2 carries the points of one onto the
 other, so only a class's first member is checked, and power-sum additivity
 weighs each class by its member count, reading the ladder's counts of it.
+Keying also gives d, the degree of a piece's field of definition (the
+chain's length), and a piece is descended to F_2^d only to be counted.
 """
 
 from collections import namedtuple
@@ -313,9 +315,9 @@ def _trace_rows(ext, s, length):
 
 
 def _class_key(rhs):
-    """rhs's field and the least of its coefficient-wise conjugates over it;
-    the chain of conjugates returns to rhs, and stops, after d squarings,
-    d the degree of rhs's field of definition."""
+    """(key, d): the key is rhs's field and the least of its coefficient-wise
+    conjugates over it; the chain of conjugates returns to rhs, and stops,
+    after d squarings, d the degree of rhs's field of definition."""
     F = rhs.field
     exps, coeffs = zip(*rhs.terms)
     chain = [coeffs]
@@ -324,7 +326,7 @@ def _class_key(rhs):
         if coeffs == chain[0]:
             break
         chain.append(coeffs)
-    return F, tuple(zip(exps, min(chain)))
+    return (F, tuple(zip(exps, min(chain)))), len(chain)
 
 
 class _Class:
@@ -343,7 +345,7 @@ def _classes(pieces):
     """Class key -> _Class of (label, rhs, genus) pieces, each keyed once."""
     classes = {}
     for _, rhs, _ in pieces:
-        classes.setdefault(_class_key(rhs), _Class(rhs, [])).members += 1
+        classes.setdefault(_class_key(rhs)[0], _Class(rhs, [])).members += 1
     return classes
 
 
@@ -499,10 +501,10 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
         report.checks["rational"] = True    # the zero abelian variety
     elif route == "numeric" or pieces is not None:
         for label, rhs, gp in pieces or [("self", None, genus)]:
-            key = None if rhs is None else _class_key(rhs)
+            key, d = (None, N) if rhs is None else _class_key(rhs)
             cls = classes.get(key)
             if cls is None:
-                cls = classes[key] = _ladder_class(curve, label, rhs, gp,
+                cls = classes[key] = _ladder_class(curve, label, rhs, d, gp,
                                                    budget, report)
             cls.members += 1
             report.pieces.append({"label": label, **cls.entry})
@@ -540,19 +542,18 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
     return report
 
 
-def _ladder_class(curve, label, rhs, gp, budget, report):
-    """The checked _Class of a first member rhs (None: the curve): a piece is
-    counted over its field F_2^d, so every (M/d)-th count is over F_2^M."""
-    entry_curve, piece, counts = curve, None, []
-    if rhs is not None:
-        piece = definition_field(rhs)
-        stratum_genus, gp = gp, as_genus(piece)
-        assert stratum_genus in (None, gp)
-        entry_curve = QuotientCurve(0, piece, gp)
-    d = entry_curve.field.degree
-    mode = ladder_route(gp, d, piece, budget)
+def _ladder_class(curve, label, rhs, d, gp, budget, report):
+    """The checked _Class of a first member rhs (None: the curve) defined
+    over F_2^d, of genus gp (None: read off rhs).  It is routed in its own
+    field, where an embedding keeps its reduction; only a counted piece is
+    descended to F_2^d, and every (M/d)-th count is then over F_2^M."""
+    gp = as_genus(rhs) if gp is None else gp
+    mode = ladder_route(gp, d, rhs, budget)
     entry = {"field_degree": d, "genus": gp, "mode": mode}
+    counts = []
     if mode == "numeric":
+        entry_curve = curve if rhs is None else QuotientCurve(
+            0, definition_field(rhs, d), gp)
         series = count_series(entry_curve, gp, budget)
         L = lpoly_from_counts(series)
         np_report = newton_polygon(L, d)

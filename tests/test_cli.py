@@ -689,6 +689,10 @@ def test_non_list_fields_are_refused(capsys, tmp_path):
     (lambda doc: doc["field"].update(modulus="0x7"),
      "bad field description: modulus degree mismatch"),
     (lambda doc: doc["field"].update(modulus="zz"), "bad field modulus 'zz'"),
+    (lambda doc: doc.update(field={"degree": 0, "modulus": "0x1"}),
+     "bad field degree 0"),
+    (lambda doc: doc.update(field={"degree": -1, "modulus": "0x1"}),
+     "bad field degree -1"),
     (lambda doc: doc["field"].update(modulus=19), "bad field modulus 19"),
     (lambda doc: doc["S"].__setitem__(0, "zz"), "bad field element 'zz'"),
     (lambda doc: doc["S"].__setitem__(0, "0x2"),
@@ -842,20 +846,31 @@ def test_iso_covers_refuses_a_basis_that_is_not_a_list(
 
 
 def test_iso_covers_rejects_a_zero_element(capsys, tmp_path):
-    # a zero polynomial has no 2-degree: this used to end in a TypeError
+    # a zero polynomial has no 2-degree: this used to end in a TypeError;
+    # the refusals come before the lengths are compared, which printed
+    # "not isomorphic" for bases of unequal length
     zero = basis_file(tmp_path, "zero.json", [["0x0", "0x1"], []])
     ok = basis_file(tmp_path, "ok.json", [["0x0", "0x1"], ["0x1", "0x0", "0x1"]])
-    for first, second in ((zero, ok), (ok, zero), (zero, zero)):
+    lone_zero = basis_file(tmp_path, "lone_zero.json", [["0x0"]])
+    empty = basis_file(tmp_path, "empty.json", [])
+    line = basis_file(tmp_path, "line.json", [["0x0", "0x1"]])
+    for first, second in ((zero, ok), (ok, zero), (zero, zero),
+                          (lone_zero, ok), (ok, lone_zero)):
         assert run_full(capsys, "iso", "--mode", "covers", first, second) == (
             2, "", "error: zero polynomial in a basis\n")
+    for first, second in ((empty, line), (line, empty)):
+        assert run_full(capsys, "iso", "--mode", "covers", first, second) == (
+            2, "", "error: empty basis\n")
 
 
 def test_iso_covers_rejects_degree_0_bases(capsys, tmp_path):
     # X^2 = c has one double root: the root search used to run to degree 64
     # and exit 3
     const = basis_file(tmp_path, "const.json", [["0x1"]])
-    assert run_full(capsys, "iso", "--mode", "covers", const, const) == (
-        2, "", "error: bases need an element of 2-degree at least 1\n")
+    pair = basis_file(tmp_path, "pair.json", [["0x1"], ["0x2"]])
+    for first, second in ((const, const), (const, pair), (pair, const)):
+        assert run_full(capsys, "iso", "--mode", "covers", first, second) == (
+            2, "", "error: bases need an element of 2-degree at least 1\n")
 
 
 def test_iso_curves_refuses_r_of_2_degree_below_1(capsys, tmp_path):

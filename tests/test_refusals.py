@@ -72,6 +72,19 @@ def factor_with_few_rho_steps():
     (lambda: covers_isomorphic([lin(F2, [0, 1])], [lin(F4, [0, 1])]),
      ValueError, "coefficient fields differ"),
     (lambda: covers_isomorphic([], []), ValueError, "empty basis"),
+    # the refusals come before the lengths are compared
+    pytest.param(lambda: covers_isomorphic([], [lin(F16, [0, 1])]),
+                 ValueError, "empty basis", id="covers-empty-first"),
+    pytest.param(lambda: covers_isomorphic([lin(F16, [0, 1])], []),
+                 ValueError, "empty basis", id="covers-empty-second"),
+    pytest.param(lambda: covers_isomorphic(
+                     [lin(F16, [0])], [lin(F16, [0, 1]), lin(F16, [1, 0, 1])]),
+                 ValueError, "zero polynomial in a basis",
+                 id="covers-zero-unequal-lengths"),
+    pytest.param(lambda: covers_isomorphic(
+                     [lin(F2, [0, 1])], [lin(F4, [0, 1]), lin(F4, [1, 0, 1])]),
+                 ValueError, "coefficient fields differ",
+                 id="covers-fields-unequal-lengths"),
     (lambda: jsonio.curve_to_json(object(), {"g": 1}), TypeError,
      "cannot serialize 'object'"),
     (lambda: lpoly_from_counts(CountSeries(2, (3,), 2)), ValueError,

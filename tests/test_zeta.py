@@ -409,6 +409,14 @@ def test_count_memo_keeps_the_degree_check():
                 count_artin_schreier(f, 1)
 
 
+def _definition_degree(f):
+    """Oracle: the least divisor d of the field's degree with every
+    coefficient fixed by Frobenius^d."""
+    F = f.field
+    return next(d for d in range(1, F.degree + 1) if F.degree % d == 0
+                and all(F.frobenius(c, d) == c for _, c in f.terms))
+
+
 def _fixture_curves():
     fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
     names = sorted(f for f in os.listdir(fixtures) if f.endswith(".json"))
@@ -512,20 +520,22 @@ def test_ladder_counts_once_per_class(monkeypatch):
 
 
 @pytest.mark.parametrize("build, expected", [
-    # 63 pieces in 13 classes, every class counted
+    # 63 fibre combinations in 13 classes, every class counted; a
+    # combination's genus is read off its right-hand side
     (lambda: build_components(decompose(63)),
      {"_class_key": 63, "definition_field": 13, "as_genus": 13,
       "ladder_route": 14, "count_series": 13}),
-    # 16,383 pieces in 1,181 classes, 20 of them counted
+    # 16,383 pieces in 1,181 classes, 20 of them counted; each genus comes
+    # from the piece's row
     (lambda: build_prime_field(decompose(16383)),
-     {"_class_key": 16383, "definition_field": 1181, "as_genus": 1181,
+     {"_class_key": 16383, "definition_field": 20, "as_genus": 0,
       "ladder_route": 1182, "count_series": 20}),
 ], ids=["f2m_g63", "f2_g16383"])
 def test_each_piece_is_keyed_once_and_each_class_checked_once(
         monkeypatch, build, expected):
     # one key per piece, the additivity check included; only a class's
-    # first member is descended, given its genus, routed and counted, and
-    # the curve itself is routed once more
+    # first member is routed, and only a counted one is descended to its
+    # field of definition; the curve itself is routed once more
     curve = build()
     calls = dict.fromkeys(expected, 0)
 
@@ -559,7 +569,7 @@ def test_report_says_irreducible_for_single_equation_curves_only():
 
 def test_class_key_chain_stops_at_the_field_of_definition(monkeypatch):
     # the chain of conjugates returns to rhs after d squarings, d the degree
-    # of rhs's field of definition, and goes no further
+    # of rhs's field of definition, and goes no further; the key gives d
     squarings = [0]
     sqr = field.BinaryField.sqr
 
@@ -573,9 +583,9 @@ def test_class_key_chain_stops_at_the_field_of_definition(monkeypatch):
     degrees = set()
     for name, curve in curves:
         for label, rhs, _ in zeta._pieces(curve, zeta.DEFAULT_BUDGET):
-            d = definition_field(rhs).field.degree
+            d = _definition_degree(rhs)
             squarings[0] = 0
-            zeta._class_key(rhs)
+            assert zeta._class_key(rhs)[1] == d, (name, label)
             assert squarings[0] == d * len(rhs.terms), (name, label)
             degrees.add((d, rhs.field.degree))
     assert any(d < n for d, n in degrees)
@@ -612,7 +622,8 @@ def test_each_member_entry_equals_a_fresh_count(budget):
         if report.pieces[0]["label"] == "self":
             rows = [(curve, None, report.genus)]
         else:
-            rows = [(QuotientCurve(0, definition_field(rhs), p["genus"]),
+            rows = [(QuotientCurve(0, definition_field(
+                         rhs, _definition_degree(rhs)), p["genus"]),
                      rhs, p["genus"])
                     for (_, rhs, _), p in zip(zeta._pieces(curve, budget),
                                               report.pieces)]

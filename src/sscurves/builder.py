@@ -20,9 +20,9 @@ from functools import cached_property
 
 from .field import _echelonize, make_field
 from .limits import DEFAULT_MAX_DEGREE
-from .linops import (SparsePoly, as_reduce, lin, lin_add, lin_monomial,
-                     lin_rmod, lin_twist, sparse, sparse_span, sparse_twist,
-                     times_x)
+from .linops import (SparsePoly, as_reduce, check_weight, lin, lin_add,
+                     lin_monomial, lin_rmod, lin_twist, sparse, sparse_span,
+                     sparse_twist, times_x)
 from .quotient import column_poly, dual_equation
 
 
@@ -153,8 +153,9 @@ def span_strata(components):
     The dim basis vectors of the span modulo constants that lead with
     x^(2^u + 1), or with x for u = 0 (x^2 reduces to x), are the stratum
     (u, dim), in ascending u.  A leading exponent of another form raises
-    ValueError; the dims sum to less than the weight when some combination
-    reduces to a constant.
+    ValueError, and so, after it, does a component exponent of binary
+    weight 3 or more, which no count takes (``check_weight``); the dims sum
+    to less than the weight when some combination reduces to a constant.
     """
     dims = {}
     for d in _span_leads(components):
@@ -163,6 +164,8 @@ def span_strata(components):
                              % d)
         u = (d >> 1).bit_length()
         dims[u] = dims.get(u, 0) + 1
+    for f in components:
+        check_weight(f.terms)
     return tuple(sorted(dims.items()))
 
 

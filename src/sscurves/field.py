@@ -216,15 +216,6 @@ class BinaryField:
         self._log = log
         return True
 
-    def primitive(self):
-        """The smallest element whose powers fill F_q^x (1 for the prime field)."""
-        q1 = self.order - 1
-        primes = [p for p, _ in gf2x.factorize(q1)]
-        for candidate in range(2, self.order):
-            if all(self.pow(candidate, q1 // p) != 1 for p in primes):
-                return candidate
-        return 1  # prime field
-
     @property
     def tables(self):
         """(log,), with log None until ``ensure_tables`` builds it."""

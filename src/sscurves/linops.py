@@ -266,6 +266,18 @@ def as_genus(f):
     return (r.degree - 1) // 2
 
 
+def check_weight(terms):
+    """ValueError at the first exponent of binary weight 3 or more.
+
+    Tr(c x^e) is an F_2-quadratic form in x exactly when e has binary weight
+    at most 2, and every count is a character sum of such forms.
+    """
+    for e, _ in terms:
+        if e.bit_count() > 2:
+            raise ValueError("exponent %d has binary weight %d; only weights "
+                             "up to 2 are counted" % (e, e.bit_count()))
+
+
 def definition_field(f, d):
     """Re-express f over F_2^d, d the degree of the smallest subfield
     containing its coefficients.

@@ -19,8 +19,10 @@ chain per coefficient (``lin_images``), through the cached trace-dual
 matrix; its bilinear rows are A + A^T.  Coefficients reach the extension
 through embeddings whose root is found in a subfield
 (``field.embedding_into``), and squarings read per-field byte tables.
-Only an exponent of binary weight 3 or more (a hand-written curve file,
-say) makes it enumerate the field instead.
+This is the only route: an exponent of binary weight 3 or more, which
+only a hand-written curve file could hold, is refused with ValueError, and
+a fibre-product file holding one is refused at load
+(``builder.span_strata``).
 
 L-polynomial coefficients come from the counted power sums through the
 Newton identities and the functional equation, in exact integer
@@ -48,8 +50,8 @@ from fractions import Fraction
 from .builder import (CurveSpec, FibreProductSpec, fibre_combinations,
                       stratum_rows)
 from .field import _xor_rows, extend_and_embed
-from .linops import (as_genus, as_reduce, definition_field, lin, lin_images,
-                     lin_kernel)
+from .linops import (as_genus, as_reduce, check_weight, definition_field, lin,
+                     lin_images, lin_kernel)
 from .limits import DEFAULT_BUDGET, BudgetError, CapacityError
 from .quotient import QuotientCurve, decomposition, dual_equation, is_irreducible
 
@@ -153,13 +155,11 @@ def _count(ext, term_lists):
     """1 + sum over x of 2^w [Tr f_j(x) = 0 for j < w], f_j the term lists.
 
     The bracket times 2^w is the sum of (-1)^Tr f(x) over the 2^w
-    F_2-combinations f of the f_j, so when every f_j has a quadratic form
-    the count is their span's character sums; otherwise x is enumerated.
+    F_2-combinations f of the f_j, so the count is the character sums of
+    the span of their quadratic forms.
     """
-    forms = [_quadratic_form(ext, terms) for terms in term_lists]
-    if None in forms:
-        return 1 + _enumerate(ext, term_lists)
-    return 1 + _span_sum(ext.degree, forms)
+    return 1 + _span_sum(ext.degree, [_quadratic_form(ext, terms)
+                                      for terms in term_lists])
 
 
 # -- character sums of quadratic forms on F_2^N (coordinates: bits of x) ------
@@ -168,16 +168,17 @@ def _count(ext, term_lists):
 def _quadratic_form(F, terms):
     """(Tr c_0, linear mask, alternating rows) of x -> Tr f(x), f = sum c x^e.
 
-    Returns None when some exponent has binary weight 3 or more.  Each term
-    c x^(2^a + 2^b), a >= b, is rewritten by trace invariance as
-    Tr(h x^(2^s + 1)) with h = c^(2^-b) and s = a - b; these gather into
-    Tr(x H(x)) with H = sum h_s x^(2^s) linearized.  One power chain gives
-    H's basis images (``lin_images``), and the trace-dual matrix turns them
-    into A, A_ij = Tr(gamma^j H(gamma^i)).  Then Q(x) = sum x_i x_j A_ij:
-    the alternating rows are A + A^T and A's diagonal joins the linear
-    mask.  The form is F_2-linear in f: the form of a sum is the xor of the
-    forms.
+    An exponent of binary weight 3 or more raises ValueError naming it
+    (``check_weight``).  Each term c x^(2^a + 2^b), a >= b, is rewritten by
+    trace invariance as Tr(h x^(2^s + 1)) with h = c^(2^-b) and s = a - b;
+    these gather into Tr(x H(x)) with H = sum h_s x^(2^s) linearized.  One
+    power chain gives H's basis images (``lin_images``), and the trace-dual
+    matrix turns them into A, A_ij = Tr(gamma^j H(gamma^i)).  Then
+    Q(x) = sum x_i x_j A_ij: the alternating rows are A + A^T and A's
+    diagonal joins the linear mask.  The form is F_2-linear in f: the form
+    of a sum is the xor of the forms.
     """
+    check_weight(terms)
     n = F.degree
     const = lam = 0
     h = [0] * n
@@ -187,8 +188,6 @@ def _quadratic_form(F, terms):
             continue
         b = (e & -e).bit_length() - 1
         a = e.bit_length() - 1
-        if e != (1 << a) | (1 << b):
-            return None
         c = F.frobenius(c, -b)
         if a == b:
             lam ^= c            # Tr(c x^(2^a)) = Tr(c^(2^-a) x)
@@ -259,59 +258,6 @@ def _char_sum(n, const, linear, rows):
     if linear:
         return 0
     return -(1 << (n - pairs)) if const else 1 << (n - pairs)
-
-
-# -- enumeration, for right-hand sides with exponents of binary weight >= 3 ---
-
-# x = b^i is enumerated in blocks of this many consecutive i.
-_BLOCK = 1 << 16
-
-
-def _enumerate(ext, term_lists):
-    """2^w #{x : Tr f_j(x) = 0 for every j}, f_j the w lists of terms (e, c).
-
-    x runs over 0 and the powers b^i of a primitive element b, in blocks of
-    consecutive i.  Over a block from b^i0, the trace bits Tr(c b^(e i)) of
-    a term are F_2-linear in y = c b^(e i0): one int, the xor of the rows of
-    ``_trace_rows`` over the bits of y.  y steps to the next block by one
-    product.  x counts when its bit is clear in every list.
-    """
-    b = ext.primitive()
-    units = ext.order - 1
-    span = min(units, _BLOCK)
-    walks = [[[c, _trace_rows(ext, ext.pow(b, e), span), ext.pow(b, e * span)]
-              for e, c in terms] for terms in term_lists]
-    # x = 0 leaves the constant terms
-    count = int(not any(ext.trace(dict(terms).get(0, 0))
-                        for terms in term_lists))
-    for lo in range(0, units, span):
-        odd = 0
-        for walk in walks:
-            bits = 0
-            for term in walk:
-                y, rows, step = term
-                bits ^= _xor_rows(rows, y)
-                term[0] = ext.mul(y, step)
-            odd |= bits
-        width = min(span, units - lo)
-        count += width - (odd & ((1 << width) - 1)).bit_count()
-    return count << len(term_lists)
-
-
-def _trace_rows(ext, s, length):
-    """Ints r_k, k < N, whose bit i is Tr(gamma^k s^i) for every i < length.
-
-    The bits of y are F_2-linear in y, so rows of twice the length are the
-    rows followed by those of gamma^k s^L, each an xor of the rows.
-    """
-    rows = [ext.trace(1 << k) for k in range(ext.degree)]
-    span, power = 1, s
-    while span < length:
-        rows = [r | _xor_rows(rows, ext.mul(1 << k, power)) << span
-                for k, r in enumerate(rows)]
-        span <<= 1
-        power = ext.sqr(power)
-    return rows
 
 
 def _class_key(rhs):

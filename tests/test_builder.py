@@ -58,12 +58,15 @@ def exhaustive_genus_counts(spec):
     """Oracle: (error, {genus: members}) from every nonzero combination.
 
     The error is the one ``certificate`` must raise: ValueError when some
-    reduced degree d >= 3 is not of the form 2^u + 1, else AssertionError
-    when some combination reduces to an even degree (a constant or zero).
-    A reduced degree 1 (x^2 reduces to x) is a member of genus 0.
+    reduced degree d >= 3 is not of the form 2^u + 1 or some component
+    exponent has binary weight 3 or more, else AssertionError when some
+    combination reduces to an even degree (a constant or zero).  A reduced
+    degree 1 (x^2 reduces to x) is a member of genus 0.
     """
     seen = {}
     error = None
+    if any(e.bit_count() > 2 for f in spec.components for e, _ in f.terms):
+        error = ValueError
     for _, f in fibre_combinations(spec):
         r = as_reduce(f)
         d = r.degree
@@ -107,6 +110,7 @@ def fibre_products(draw):
 @example(_spec(1, {5: 1}, {5: 1, 3: 1}))            # genus 5, not 6
 @example(_spec(1, {5: 1}, {5: 1}))                  # dependent
 @example(_spec(1, {9: 1, 7: 1}, {9: 1}))            # the span leads with x^7
+@example(_spec(1, {9: 1, 7: 1}, {5: 1}))            # x^7 leads nothing
 @example(_spec(2, {10: 1, 3: 2}, {5: 3, 0: 1}))     # x^10 reduces to x^5
 def test_span_strata_match_exhaustive_genus_counts(spec):
     error, seen = exhaustive_genus_counts(spec)

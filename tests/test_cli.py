@@ -593,31 +593,63 @@ def test_invalid_fibre_files(capsys, tmp_path):
             assert "degree 7 is not of the form" in capsys.readouterr().err
 
 
+WEIGHT3 = ("error: exponent 7 has binary weight 3; only weights up to 2 "
+           "are counted\n")
+
+
 def test_verify_rejections_of_fibre_products(capsys, tmp_path):
-    # x^9 + x^7 is not supersingular: its Newton polygon rejects it
-    path = fibre_file(tmp_path, "x9x7.json", [[9, 7]])
-    rc, out = run(capsys, "verify", path)
-    lines = out.splitlines()
-    assert rc == 1 and lines[1] == "supersingular: false"
-    assert lines[-1] == "FAILURES: newton polygon rejects supersingularity"
-    # with x^5 beside it and a budget of 2^8, verify counts the pieces
-    path = fibre_file(tmp_path, "x9x7_x5.json", [[9, 7], [5]])
+    # x^7 has binary weight 3, so no count takes x^9 + x^7: every command
+    # refuses the file at load, also with x^5 beside it and as x^8193 + x^7
+    # past the budget
+    for name, comps in (("x9x7.json", [[9, 7]]),
+                        ("x9x7_x5.json", [[9, 7], [5]]),
+                        ("x8193x7.json", [[8193, 7]])):
+        path = fibre_file(tmp_path, name, comps)
+        for argv in (["count"], ["verify"],
+                     ["verify", "--json", "--budget-log2", "8"], ["lpoly"],
+                     ["quotients"]):
+            assert run_full(capsys, argv[0], path, *argv[1:]) == (
+                2, "", WEIGHT3), (name, argv)
+    # quotients take single-equation curves only
+    path = fibre_file(tmp_path, "x9.json", [[9]])
+    assert run_full(capsys, "quotients", path) == (
+        2, "", "error: quotients need a single-equation curve file\n")
+
+
+def test_verify_rejects_a_wrong_count(capsys, tmp_path, monkeypatch):
+    # one count one too low.  g1_f2's count over F_2: its L becomes
+    # 1 - T + 2T^2, whose slopes are 0 and 1.  With x^5 beside x^9 and a
+    # budget of 2^8, verify counts the pieces: the x^9 piece's count over
+    # F_2^6 (129, the Weil maximum), which its L from k = 1..4 must predict
+    from sscurves import zeta
+    count_points = zeta.count_points
+
+    def one_off(wrong):
+        def count(curve, k, budget=zeta.DEFAULT_BUDGET):
+            return count_points(curve, k, budget) - wrong(curve, k)
+        return count
+
+    monkeypatch.setattr(zeta, "count_points", one_off(lambda c, k: k == 1))
+    rc, out = run(capsys, "verify", os.path.join(FIXTURES, "g1_f2.json"))
+    assert rc == 1 and out.splitlines()[1:] == [
+        "supersingular: false",
+        'checks: {"weil_bounds": true, "functional_equation_predictions": '
+        'false, "lpoly_degree": true, "irreducible": true, '
+        '"powersum_additivity": false}',
+        "FAILURES: newton polygon rejects supersingularity, "
+        "functional_equation_predictions, powersum_additivity"]
+    monkeypatch.setattr(zeta, "count_points", one_off(
+        lambda c, k: k == 6 and getattr(c, "rhs", None) is not None
+        and c.rhs.terms == ((9, 1),)))
+    path = fibre_file(tmp_path, "x9_x5.json", [[9], [5]])
     rc, out = run(capsys, "verify", path, "--json", "--budget-log2", "8")
     doc = json.loads(out)
     assert rc == 1 and doc["supersingular"] is False
     assert {p["label"]: p["supersingular"] for p in doc["pieces"]} == {
         "combination 0x1": False, "combination 0x2": True,
-        "combination 0x3": False}
+        "combination 0x3": True}
     assert doc["checks"]["piece_genus_total"] is True
     assert doc["failures"] == ["newton polygon rejects supersingularity"]
-    # a piece past the budget whose shape certifies nothing
-    path = fibre_file(tmp_path, "x8193x7.json", [[8193, 7]])
-    assert run_full(capsys, "verify", path) == (
-        3, "", "capacity/budget error: piece combination 0x1 exceeds the "
-               "budget and has no certifiable shape\n")
-    # quotients take single-equation curves only
-    assert run_full(capsys, "quotients", path) == (
-        2, "", "error: quotients need a single-equation curve file\n")
 
 
 def test_verify_reports_an_additivity_mismatch(capsys, monkeypatch):
@@ -941,8 +973,7 @@ def test_hand_written_files_with_s_outside_f2(capsys, tmp_path):
 
 def test_lpoly_refuses_before_the_ladder(capsys, tmp_path, monkeypatch):
     # a curve too large to count directly is refused before any quotient
-    # piece is built; x^8193 + x^7 once got the ladder's "no certifiable
-    # shape" message for its one piece instead
+    # piece is built, and x^8193 + x^7 already at load
     from sscurves import zeta
     built = []
     pieces = zeta._pieces
@@ -952,9 +983,10 @@ def test_lpoly_refuses_before_the_ladder(capsys, tmp_path, monkeypatch):
                "use verify for the piecewise ladder\n")
     for path, argv in (
             (os.path.join(FIXTURES, "g221_f2.json"), ["--budget-log2", "8"]),
-            (fibre_file(tmp_path, "plain.json", [[8193]]), []),
-            (fibre_file(tmp_path, "x7.json", [[8193, 7]]), [])):
+            (fibre_file(tmp_path, "plain.json", [[8193]]), [])):
         assert run_full(capsys, "lpoly", path, *argv) == (3, "", message)
+    x7 = fibre_file(tmp_path, "x7.json", [[8193, 7]])
+    assert run_full(capsys, "lpoly", x7) == (2, "", WEIGHT3)
     assert built == []
 
 

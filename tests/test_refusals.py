@@ -13,7 +13,8 @@ from sscurves.limits import BudgetError, CapacityError
 from sscurves.linops import (lin, lin_add, lin_kernel, lin_rmod, lin_twist,
                              sparse, splitting_degree)
 from sscurves.quotient import split
-from sscurves.zeta import CountSeries, lpoly_from_counts
+from sscurves.zeta import (CountSeries, count_artin_schreier, count_points,
+                           lpoly_from_counts)
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -89,6 +90,15 @@ def factor_with_few_rho_steps():
      "cannot serialize 'object'"),
     (lambda: lpoly_from_counts(CountSeries(2, (3,), 2)), ValueError,
      "need counts over the first 2 extensions"),
+    # Tr x^7 is no quadratic form; a fibre product built in the library,
+    # not loaded, reaches the count
+    pytest.param(lambda: count_artin_schreier(sparse(F2, {7: 1}), 1),
+                 ValueError, "exponent 7 has binary weight 3; only weights "
+                 "up to 2 are counted", id="weight-three-rhs"),
+    pytest.param(lambda: count_points(
+                     FibreProductSpec(F2, (sparse(F2, {9: 1, 7: 1}),)), 1),
+                 ValueError, "exponent 7 has binary weight 3; only weights "
+                 "up to 2 are counted", id="weight-three-fibre-product"),
 ])
 def test_library_refusals(call, exc, message):
     with pytest.raises(exc) as info:

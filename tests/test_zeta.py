@@ -38,6 +38,15 @@ def sparse_eval(f, x):
     return acc
 
 
+def trace_count(fs):
+    """Oracle: 1 + 2^w #{x : Tr f(x) = 0 for each of the w polynomials f},
+    by a direct loop over x with the absolute trace."""
+    F = fs[0].field
+    zeros = sum(not any(F.trace(sparse_eval(f, x)) for f in fs)
+                for x in F.elements())
+    return 1 + (zeros << len(fs))
+
+
 def kernel_size(lm):
     return 1 << len(lm.kernel_basis())
 
@@ -96,9 +105,10 @@ def test_count_examples():
 
 
 def test_count_against_brute_oracle():
+    # odd exponents of binary weight at most 2, the only ones counted
     rng = random.Random(77)
     for _ in range(25):
-        terms = {rng.randrange(1, 12) * 2 + 1: rng.randrange(1, 4)
+        terms = {rng.choice((1, 3, 5, 9, 17, 33)): rng.randrange(1, 4)
                  for _ in range(rng.randrange(1, 4))}
         f = sparse(F4, terms)
         got = count_artin_schreier(f, 1)
@@ -169,26 +179,22 @@ def test_maximal_curve_value():
     assert count_points(q5, 4) == 33
 
 
-def test_weight_three_exponent_is_enumerated(monkeypatch):
-    calls = []
-    enumerate_ = zeta._enumerate
-
-    def spy(ext, term_lists):
-        calls.append(ext.degree)
-        return enumerate_(ext, term_lists)
-
-    monkeypatch.setattr(zeta, "_enumerate", spy)
-    f = sparse(F2, {7: 1})
-    for k in (1, 2, 3, 4):
-        ext, emb = extend_and_embed(F2, k)
-        assert zeta._quadratic_form(ext, f.map_field(emb).terms) is None
-        assert count_artin_schreier(f, k) == brute_count_artin_schreier(
-            ext, f.map_field(emb))
-    assert calls == [1, 2, 3, 4]
+def test_weight_three_exponent_is_refused():
+    # Tr x^7 and Tr x^15 are no quadratic forms: no count takes them
+    for e, w in ((7, 3), (15, 4)):
+        f = sparse(F2, {e: 1})
+        message = ("exponent %d has binary weight %d; only weights up to 2 "
+                   "are counted" % (e, w))
+        for k in (1, 2, 3, 4):
+            ext, emb = extend_and_embed(F2, k)
+            with pytest.raises(ValueError, match=message):
+                zeta._quadratic_form(ext, f.map_field(emb).terms)
+            with pytest.raises(ValueError, match=message):
+                count_artin_schreier(f, k)
 
 
 def test_weight_three_fibre_file_through_cli(tmp_path, capsys):
-    # a hand-written fibre product with an x^7 term is counted by the walk
+    # a hand-written fibre product with an x^7 term is refused at load
     from sscurves.cli import main
     a = F4.generator
     comps = (sparse(F4, {9: 1, 7: a, 0: 1}), sparse(F4, {5: a, 3: 1, 1: a}))
@@ -198,24 +204,22 @@ def test_weight_three_fibre_file_through_cli(tmp_path, capsys):
                                      for e, c in f.terms]} for f in comps]}
     path = tmp_path / "weight3.json"
     path.write_text(json.dumps(doc))
+    message = "exponent 7 has binary weight 3; only weights up to 2 are counted"
+    with pytest.raises(ValueError, match=message):
+        jsonio.load_curve(str(path))
     for k in (1, 2):
-        assert main(["count", str(path), "--json", "--ext", str(k)]) == 0
-        got = json.loads(capsys.readouterr().out)
-        ext, emb = extend_and_embed(F4, k)
-        spec = FibreProductSpec(ext, tuple(f.map_field(emb) for f in comps))
-        assert got == {"ext": k, "count": brute_count_fibre(ext, spec)}, k
+        assert main(["count", str(path), "--json", "--ext", str(k)]) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message), k
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_enumerate_without_tables(monkeypatch, n):
-    # the walk with bit-serial products, in one block and in blocks of 3
-    # (several blocks and a short last one); the prime field, x = 0 and
-    # constant terms included
-    monkeypatch.setattr(field, "_TABLE_MAX_DEGREE", 0)
+def test_enumerate_without_tables(n):
+    # the exhaustive oracles against the quadratic route, which builds no
+    # discrete-log table: the prime field, x = 0, constant terms and
+    # several components included
     F = field.BinaryField(n, smallest_irreducible(n))
-    assert not F.ensure_tables()
     rng = random.Random(n)
-    exps = (0, 1, 3, 5, 7, 11, 13, 19)
+    exps = (0, 1, 2, 3, 5, 6, 9, 12, 17)
     for _ in range(3):
         comps = [sparse(F, {rng.choice(exps): rng.randrange(F.order)
                             for _ in range(rng.randrange(1, 5))})
@@ -223,10 +227,9 @@ def test_enumerate_without_tables(monkeypatch, n):
         spec = FibreProductSpec(F, tuple(comps))
         want = (brute_count_artin_schreier(F, comps[0]),
                 brute_count_fibre(F, spec))
-        for block in (zeta._BLOCK, 3):
-            monkeypatch.setattr(zeta, "_BLOCK", block)
-            assert (1 + zeta._enumerate(F, [comps[0].terms]),
-                    1 + zeta._enumerate(F, [f.terms for f in comps])) == want
+        assert (trace_count(comps[:1]), trace_count(comps)) == want
+        assert (zeta._count(F, [comps[0].terms]),
+                zeta._count(F, [f.terms for f in comps])) == want
     assert F.tables == (None,)
 
 
@@ -262,9 +265,7 @@ def test_quadratic_route_matches_enumeration(data, d, k, u):
     F = make_field(d)
     f = data.draw(quadratic_rhs(F, u))
     ext, emb = extend_and_embed(F, k)
-    terms = f.map_field(emb).terms
-    assert zeta._quadratic_form(ext, terms) is not None
-    assert count_artin_schreier(f, k) == 1 + zeta._enumerate(ext, [terms])
+    assert count_artin_schreier(f, k) == trace_count([f.map_field(emb)])
 
 
 @SMALL
@@ -275,8 +276,8 @@ def test_quadratic_route_matches_enumeration_fibre(data, d, k, tops):
     spec = FibreProductSpec(
         F, tuple(data.draw(quadratic_rhs(F, u)) for u in tops))
     ext, emb = extend_and_embed(F, k)
-    comps = [f.map_field(emb).terms for f in spec.components]
-    assert count_points(spec, k) == 1 + zeta._enumerate(ext, comps)
+    assert count_points(spec, k) == trace_count(
+        [f.map_field(emb) for f in spec.components])
 
 
 def per_basis_form(F, terms):
@@ -691,11 +692,12 @@ def test_newton_polygon_examples():
 
 
 def test_newton_polygon_ordinary_curve():
-    # y^2+y = x^3 + x^5 + ... try a non-supersingular Artin-Schreier curve:
-    # w^2+w = x^7 over F_2 has genus 3 but is not supersingular
-    q = QuotientCurve(0, sparse(F2, {7: 1}), 3)
-    series = count_series(q, 3, B16)
-    L = lpoly_from_counts(CountSeries(series.q, series.counts[:3], 3))
+    # w^2+w = x^7 over F_2 has genus 3 but is not supersingular; no count
+    # takes its weight-3 exponent, so the oracle counts it over F_2, F_4, F_8
+    f = sparse(F2, {7: 1})
+    counts = tuple(trace_count([f.map_field(extend_and_embed(F2, k)[1])])
+                   for k in (1, 2, 3))
+    L = lpoly_from_counts(CountSeries(2, counts, 3))
     r = newton_polygon(L, 1)
     assert not r.supersingular
 
@@ -751,12 +753,17 @@ def test_verify_fibre_product_built_by_hand():
 
 
 def test_fibre_count_needs_odd_combinations_only():
-    # counting asks no more than odd reduced degrees: an x^7 component and a
-    # span with the genus-0 member x are counted, dependent components not
-    for comps in (({7: 1},), ({5: 1, 1: 1}, {5: 1}), ({7: 1, 3: 1}, {5: 1})):
+    # counting asks no more than odd reduced degrees: a span with the
+    # genus-0 member x is counted, dependent components not; an x^7
+    # component passes the rank test and is refused for its weight
+    spec = FibreProductSpec(F2, (sparse(F2, {5: 1, 1: 1}), sparse(F2, {5: 1})))
+    assert spec.rank == spec.weight
+    assert count_points(spec, 1) == brute_count_fibre(F2, spec)
+    for comps in (({7: 1},), ({7: 1, 3: 1}, {5: 1})):
         spec = FibreProductSpec(F2, tuple(sparse(F2, c) for c in comps))
         assert spec.rank == spec.weight
-        assert count_points(spec, 1) == brute_count_fibre(F2, spec)
+        with pytest.raises(ValueError, match="exponent 7 has binary weight 3"):
+            count_points(spec, 1)
     for comps in (({5: 1}, {5: 1}), ({0: 1},), ({4: 1, 2: 1},)):
         spec = FibreProductSpec(F2, tuple(sparse(F2, c) for c in comps))
         with pytest.raises(ValueError, match="even reduced degree"):

@@ -20,8 +20,9 @@ from .decomp import decompose
 from .limits import (DEFAULT_LOG2_POINTS, DEFAULT_MAX_DEGREE, Budget,
                      BudgetError, CapacityError)
 from .quotient import is_irreducible, quotient_rows
-from .zeta import (AdditivityError, count_points, genus_and_degree,
-                   ladder_route, verify_supersingular)
+from .zeta import (AdditivityError, count_points, count_series,
+                   genus_and_degree, ladder_route, lpoly_from_counts,
+                   verify_supersingular)
 
 
 def _budget(args):
@@ -142,11 +143,11 @@ def cmd_lpoly(args):
     budget = _budget(args)
     curve = jsonio.load_curve(args.curvefile, budget.max_degree)
     genus, N = genus_and_degree(curve)
-    if ladder_route(genus, N, None, budget) is None:
+    if ladder_route(genus, N, budget) == "certified-not-recounted":
         raise BudgetError("curve is too large to count directly; "
                           "use verify for the piecewise ladder")
-    report = verify_supersingular(curve, budget)
-    coeffs = list(report.lpoly.coeffs) if genus else [1]  # rational
+    coeffs = list(lpoly_from_counts(count_series(curve, genus, budget)).coeffs
+                  if genus else [1])    # rational
     doc = {"genus": genus, "lpoly": [str(c) for c in coeffs]}
     _emit(args, doc, ["genus %d" % genus, "L = %s" % coeffs])
     return 0
@@ -170,10 +171,10 @@ def cmd_verify(args):
         return 1
     doc = jsonio.report_to_json(report)
     failures = []
-    if report.supersingular is False:
-        failures.append("newton polygon rejects supersingularity")
+    if report.supersingular is False:   # each false entry names its causes
+        failures = [c for p in report.pieces for c in p.get("failed", ())]
     failures += [key for key, ok in doc["checks"].items() if ok is False]
-    doc["failures"] = failures
+    doc["failures"] = failures = list(dict.fromkeys(failures))  # each once
     lines = ["genus %d" % report.genus,
              "supersingular: %s" % json.dumps(report.supersingular),
              "checks: %s" % json.dumps(doc["checks"])]

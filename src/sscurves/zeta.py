@@ -33,15 +33,17 @@ decided exactly on 2-adic valuations.
 The supersingularity ladder checks one list of entries: the curve itself
 when its counts fit the budget, else its quotient pieces over their fields
 of definition, else, past the splitting field's capacity, its strata.  One
-route function picks each entry's check: counted, rational, or, for a piece
-beyond the budget of the hyperelliptic shape w^2 + w = x R(x), certified
-without a recount.  Pieces are keyed once into a table of Frobenius
-classes: a right-hand side and its coefficient-wise conjugates have the
-same counts at every k, since x -> x^2 carries the points of one onto the
-other, so only a class's first member is checked, and power-sum additivity
-weighs each class by its member count, reading the ladder's counts of it.
-Keying also gives d, the degree of a piece's field of definition (the
-chain's length), and a piece is descended to F_2^d only to be counted.
+route function picks each entry's check from its genus and field alone:
+rational, counted, or, past the budget, certified without a recount, sound
+for every piece by the weight contract above (w^2 + w = x R(x)).  A false
+entry names its failed checks.  Pieces are keyed once into a table of
+Frobenius classes: a right-hand side and its coefficient-wise conjugates
+have the same counts at every k, since x -> x^2 carries the points of one
+onto the other, so only a class's first member is checked, and power-sum
+additivity weighs each class by its member count, reading the ladder's
+counts of it.  Keying also gives d, the degree of a piece's field of
+definition (the chain's length), and a piece is descended to F_2^d only to
+be counted.
 """
 
 from collections import namedtuple
@@ -277,14 +279,14 @@ def _class_key(rhs):
 
 class _Class:
     """A Frobenius class: its first member's rhs (None: the curve), counts
-    over the pieces' field, report entry without a label, verdict, and
-    member count."""
+    over the pieces' field, report entry without a label (its verdict is
+    the entry's "supersingular"), and member count."""
 
-    __slots__ = ("rhs", "counts", "entry", "verdict", "members")
+    __slots__ = ("rhs", "counts", "entry", "members")
 
-    def __init__(self, rhs, counts, entry=None, verdict=None, members=0):
-        self.rhs, self.counts, self.entry = rhs, counts, entry
-        self.verdict, self.members = verdict, members
+    def __init__(self, rhs, counts, entry=None, members=0):
+        self.rhs, self.counts = rhs, counts
+        self.entry, self.members = entry, members
 
 
 def _classes(pieces):
@@ -388,9 +390,9 @@ class VerificationReport:
     """The ladder's verdict on a curve of the given genus.
 
     supersingular is True, False or "certified".  lpoly and slopes are the
-    curve's own LPoly and Newton slopes when the curve was counted whole,
-    else None; pieces lists one entry per ladder entry, and checks maps the
-    name of each check to its outcome.
+    curve's own LPoly and Newton slopes when it was counted whole, else
+    None; pieces lists one entry per ladder entry, a false one with its
+    "failed" checks, and checks maps the name of each check to its outcome.
     """
 
     __slots__ = ("genus", "supersingular", "lpoly", "slopes", "pieces",
@@ -408,23 +410,16 @@ class VerificationReport:
             "%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
 
 
-def ladder_route(genus, d, rhs, budget):
-    """How the ladder checks an entry of this genus over F_2^d, or None.
-
-    Counted when its counts up to k = genus + 2 fit the budget; beyond it,
-    certified when rhs (None for the whole curve) has the shape below.
-    """
+def ladder_route(genus, d, budget):
+    """How the ladder checks an entry of this genus over F_2^d: rational,
+    counted when its counts up to k = genus + 2 fit the budget, else
+    certified without a recount, since every piece is w^2 + w = x R(x) with
+    R linearized (``check_weight``); a certified curve is checked by parts."""
     if genus == 0:
         return "rational"
     if budget.fits_points(d * (genus + 2)):
         return "numeric"
-    # every non-constant term of the reduced rhs is x^(2^e + 1), or x (from
-    # x^2), and there is one: the cover is then one of the supersingular
-    # hyperelliptic family (a constant does not change it over the closure)
-    exps = [e for e, _ in as_reduce(rhs).terms if e] if rhs is not None else ()
-    if exps and not any((e - 1) & (e - 2) for e in exps):
-        return "certified-not-recounted"
-    return None
+    return "certified-not-recounted"
 
 
 def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
@@ -435,13 +430,14 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
     along its own route, else (the splitting field out of capacity) its
     strata, certified.  Pieces are keyed once into a table of Frobenius
     classes (``_class_key``); each class's first member is checked, and its
-    entry and verdict stand for every member.  With kmax the report adds
-    power-sum additivity for k = 1..kmax over the same table.
+    entry, verdict included, stands for every member.  With kmax the report
+    adds power-sum additivity for k = 1..kmax over the same table.
     """
     genus, N = genus_and_degree(curve)
     report = VerificationReport(genus=genus, supersingular=True)
-    route = ladder_route(genus, N, None, budget)
-    pieces = None if route else _pieces(curve, budget)
+    route = ladder_route(genus, N, budget)
+    split = route == "certified-not-recounted"  # checked by its pieces
+    pieces = _pieces(curve, budget) if split else None
     classes = {}        # class key (None: the curve) -> _Class
     if route == "rational":
         report.checks["rational"] = True    # the zero abelian variety
@@ -450,16 +446,17 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
             key, d = (None, N) if rhs is None else _class_key(rhs)
             cls = classes.get(key)
             if cls is None:
-                cls = classes[key] = _ladder_class(curve, label, rhs, d, gp,
-                                                   budget, report)
+                cls = classes[key] = _ladder_class(curve, rhs, d, gp, budget,
+                                                   report)
             cls.members += 1
             report.pieces.append({"label": label, **cls.entry})
         if pieces is not None:
             report.checks["piece_genus_total"] = genus == sum(
                 c.members * c.entry["genus"] for c in classes.values())
-        if any(c.verdict is False for c in classes.values()):
+        verdicts = {c.entry["supersingular"] for c in classes.values()}
+        if False in verdicts:
             report.supersingular = False
-        elif not all(c.verdict is True for c in classes.values()):
+        elif "certified" in verdicts:
             report.supersingular = "certified"
     else:
         for (u, _), (count, gp) in zip(curve.strata,
@@ -476,7 +473,7 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
         report.checks["irreducible"] = True     # genus_and_degree checked
     if kmax is not None:
         try:
-            if route:       # the ladder split off no pieces
+            if not split:   # the ladder split off no pieces
                 pieces = _pieces(curve, budget)
                 classes = _classes(pieces or ())
             ok = _additive(curve, pieces, kmax, budget, classes)
@@ -488,13 +485,13 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
     return report
 
 
-def _ladder_class(curve, label, rhs, d, gp, budget, report):
+def _ladder_class(curve, rhs, d, gp, budget, report):
     """The checked _Class of a first member rhs (None: the curve) defined
-    over F_2^d, of genus gp (None: read off rhs).  It is routed in its own
-    field, where an embedding keeps its reduction; only a counted piece is
-    descended to F_2^d, and every (M/d)-th count is then over F_2^M."""
+    over F_2^d, of genus gp (None: read off rhs); only a counted one is
+    descended to F_2^d, every (M/d)-th count then over F_2^M.  A false
+    counted entry lists under "failed" the checks that did not hold."""
     gp = as_genus(rhs) if gp is None else gp
-    mode = ladder_route(gp, d, rhs, budget)
+    mode = ladder_route(gp, d, budget)
     entry = {"field_degree": d, "genus": gp, "mode": mode}
     counts = []
     if mode == "numeric":
@@ -505,11 +502,13 @@ def _ladder_class(curve, label, rhs, d, gp, budget, report):
         np_report = newton_polygon(L, d)
         pred_ok = all(predicted_count(L, k) == series.counts[k - 1]
                       for k in range(gp + 1, len(series.counts) + 1))
-        verdict = bool(np_report.supersingular and pred_ok)
-        # the curve's own entry shows the Newton polygon's verdict
-        entry["supersingular"] = (
-            np_report.supersingular if rhs is None else verdict)
+        entry["supersingular"] = np_report.supersingular and pred_ok
         entry["lpoly"] = list(L.coeffs)
+        if not entry["supersingular"]:
+            entry["failed"] = [cause for cause, ok in (
+                ("newton polygon rejects supersingularity",
+                 np_report.supersingular),
+                ("functional_equation_predictions", pred_ok)) if not ok]
         if rhs is None:
             report.lpoly, report.slopes = L, np_report.slopes
             report.checks["weil_bounds"] = True
@@ -518,13 +517,9 @@ def _ladder_class(curve, label, rhs, d, gp, budget, report):
         else:
             step = rhs.field.degree // d
             counts = list(series.counts[step - 1::step])
-    elif mode is None:
-        raise CapacityError("piece %s exceeds the budget and has no "
-                            "certifiable shape" % label)
     else:
-        verdict = entry["supersingular"] = (
-            True if mode == "rational" else "certified")
-    return _Class(rhs, counts, entry, verdict)
+        entry["supersingular"] = True if mode == "rational" else "certified"
+    return _Class(rhs, counts, entry)
 
 
 def genus_and_degree(curve):

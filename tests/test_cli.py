@@ -165,15 +165,19 @@ def test_verify_text_and_lpoly_are_pinned(capsys, name):
 @pytest.mark.parametrize("flags", [[], ["--budget-log2", "8"],
                                    ["--max-degree", "4"]])
 def test_lpoly_and_verify_agree_on_the_self_route(capsys, flags):
-    # lpoly refuses exactly when verify does not count the curve itself
+    # lpoly refuses exactly when verify does not count the curve itself,
+    # and otherwise prints the L that verify reports from its own counts
     for name in sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json")):
         fixture = os.path.join(FIXTURES, name)
         rc, out = run(capsys, "verify", "--json", *flags, fixture)
-        first = json.loads(out)["pieces"][0] if rc == 0 else {}
+        report = json.loads(out) if rc == 0 else {"pieces": [{}]}
+        first = report["pieces"][0]
         counted = (first.get("label"), first.get("mode")) == (
             "self", "numeric")
-        rc, _ = run(capsys, "lpoly", *flags, fixture)
+        rc, out = run(capsys, "lpoly", "--json", *flags, fixture)
         assert (rc == 3) == (not counted), (name, flags)
+        if counted:
+            assert json.loads(out)["lpoly"] == report["lpoly"], (name, flags)
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -617,27 +621,43 @@ def test_verify_rejections_of_fibre_products(capsys, tmp_path):
 
 
 def test_verify_rejects_a_wrong_count(capsys, tmp_path, monkeypatch):
-    # one count one too low.  g1_f2's count over F_2: its L becomes
-    # 1 - T + 2T^2, whose slopes are 0 and 1.  With x^5 beside x^9 and a
-    # budget of 2^8, verify counts the pieces: the x^9 piece's count over
-    # F_2^6 (129, the Weil maximum), which its L from k = 1..4 must predict
+    # one count one too low, and failures names only the checks that
+    # failed, each once.  g1_f2's count over F_2: its L becomes
+    # 1 - T + 2T^2, whose slopes are 0 and 1.  Its count over F_4: L is
+    # still 1 + 2T^2 and its polygon accepts, but the count is not the one
+    # L predicts.  With x^5 beside x^9 and a budget of 2^8, verify counts
+    # the pieces: the x^9 piece's count over F_2^6 (129, the Weil maximum),
+    # which its L from k = 1..4 must predict.  g63_f2m's class over F_4
+    # (combinations 0x3a and 0x3b, L = 1 - 2T + 4T^2) at k = 1: its trace
+    # turns odd, so both of its checks fail, on both members
     from sscurves import zeta
     count_points = zeta.count_points
+    newton = "newton polygon rejects supersingularity"
+    predictions = "functional_equation_predictions"
 
     def one_off(wrong):
         def count(curve, k, budget=zeta.DEFAULT_BUDGET):
             return count_points(curve, k, budget) - wrong(curve, k)
         return count
 
+    g1 = os.path.join(FIXTURES, "g1_f2.json")
+    checks = ('checks: {"weil_bounds": true, "functional_equation_predictions"'
+              ': false, "lpoly_degree": true, "irreducible": true')
     monkeypatch.setattr(zeta, "count_points", one_off(lambda c, k: k == 1))
-    rc, out = run(capsys, "verify", os.path.join(FIXTURES, "g1_f2.json"))
+    rc, out = run(capsys, "verify", g1)
     assert rc == 1 and out.splitlines()[1:] == [
-        "supersingular: false",
-        'checks: {"weil_bounds": true, "functional_equation_predictions": '
-        'false, "lpoly_degree": true, "irreducible": true, '
-        '"powersum_additivity": false}',
+        "supersingular: false", checks + ', "powersum_additivity": false}',
         "FAILURES: newton polygon rejects supersingularity, "
         "functional_equation_predictions, powersum_additivity"]
+    monkeypatch.setattr(zeta, "count_points", one_off(lambda c, k: k == 2))
+    rc, out = run(capsys, "verify", g1, "--skip-additivity")
+    assert rc == 1 and out.splitlines()[1:] == [
+        "supersingular: false", checks + "}",
+        "FAILURES: functional_equation_predictions"]
+    rc, out = run(capsys, "verify", g1, "--json", "--skip-additivity")
+    doc = json.loads(out)
+    assert doc["pieces"][0]["supersingular"] is False
+    assert doc["pieces"][0]["failed"] == doc["failures"] == [predictions]
     monkeypatch.setattr(zeta, "count_points", one_off(
         lambda c, k: k == 6 and getattr(c, "rhs", None) is not None
         and c.rhs.terms == ((9, 1),)))
@@ -648,8 +668,21 @@ def test_verify_rejects_a_wrong_count(capsys, tmp_path, monkeypatch):
     assert {p["label"]: p["supersingular"] for p in doc["pieces"]} == {
         "combination 0x1": False, "combination 0x2": True,
         "combination 0x3": True}
+    assert [p.get("failed") for p in doc["pieces"]] == [
+        [predictions], None, None]
     assert doc["checks"]["piece_genus_total"] is True
-    assert doc["failures"] == ["newton polygon rejects supersingularity"]
+    assert doc["failures"] == [predictions]
+    monkeypatch.setattr(zeta, "count_points", one_off(
+        lambda c, k: k == 1 and getattr(c, "rhs", None) is not None
+        and c.rhs.field.degree == 2))
+    rc, out = run(capsys, "verify", os.path.join(FIXTURES, "g63_f2m.json"),
+                  "--json")
+    doc = json.loads(out)
+    assert rc == 1 and doc["supersingular"] is False
+    assert {p["label"]: p["failed"] for p in doc["pieces"]
+            if "failed" in p} == {"combination 0x3a": [newton, predictions],
+                                  "combination 0x3b": [newton, predictions]}
+    assert doc["failures"] == [newton, predictions]
 
 
 def test_verify_reports_an_additivity_mismatch(capsys, monkeypatch):

@@ -145,12 +145,14 @@ def test_verification_report_defaults():
 
 
 def test_class_record_defaults():
+    # the verdict is the entry's "supersingular", not a slot of its own
     cls = _Class(None, [])
-    assert (cls.rhs, cls.counts, cls.entry, cls.verdict, cls.members) == (
-        None, [], None, None, 0)
+    assert (cls.rhs, cls.counts, cls.entry, cls.members) == (
+        None, [], None, 0)
     cls.members += 1
-    full = _Class(X3, [3], {"genus": 1}, True, 2)
-    assert (full.rhs, full.counts, full.entry, full.verdict, full.members) \
-        == (X3, [3], {"genus": 1}, True, 2)
-    with pytest.raises(AttributeError):
-        cls.label = "x"
+    full = _Class(X3, [3], {"genus": 1, "supersingular": True}, 2)
+    assert (full.rhs, full.counts, full.entry, full.members) == (
+        X3, [3], {"genus": 1, "supersingular": True}, 2)
+    for name in ("label", "verdict"):
+        with pytest.raises(AttributeError):
+            setattr(cls, name, "x")

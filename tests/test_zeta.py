@@ -13,7 +13,8 @@ from sscurves.decomp import decompose
 from sscurves.field import F2LinearMap, extend_and_embed, make_field
 from sscurves.gf2x import smallest_irreducible
 from sscurves.limits import Budget, BudgetError, CapacityError
-from sscurves.linops import definition_field, lin, lin_eval, sparse
+from sscurves.linops import (as_reduce, definition_field, lin, lin_eval,
+                             sparse)
 from sscurves.quotient import QuotientCurve, is_irreducible
 from sscurves.zeta import (CountSeries, InconsistentCounts, LPoly,
                            count_artin_schreier, count_points, count_series,
@@ -733,6 +734,18 @@ def test_verify_ladder_modes():
     # genus 4096: single stratum, certified
     rep = verify_supersingular(build_prime_field(decompose(4096)), B16)
     assert rep.supersingular == "certified"
+    # a piece past the budget is certified without a recount because it
+    # has the shape w^2 + w = x R(x), R linearized: every non-constant
+    # exponent of its reduced right-hand side is 1 or 2^a + 1
+    for curve in (build_prime_field(decompose(221)),
+                  build_prime_field(decompose(1000)),
+                  build_components(decompose(1000)),
+                  build_prime_field(decompose(4096))):
+        pieces = zeta._pieces(curve, zeta.DEFAULT_BUDGET)
+        assert pieces
+        for label, rhs, _ in pieces:
+            assert all(e == 1 or (e - 1).bit_count() == 1
+                       for e, _ in as_reduce(rhs).terms if e), label
 
 
 def test_verify_fibre_product_g30():

@@ -14,7 +14,8 @@ from collections import namedtuple
 
 from .field import _echelonize, extend_and_embed, f2_span, poly_roots
 from .linops import lin, lin_add, lin_kernel, splitting_degree
-from .limits import DEFAULT_MAX_DEGREE, CapacityError
+from .limits import (DEFAULT_BUDGET, DEFAULT_MAX_DEGREE, BudgetError,
+                     CapacityError)
 
 
 class IsoWitness(namedtuple("IsoWitness", "rho field mode")):
@@ -65,29 +66,35 @@ def scaling_orbit(R, rho):
                    for i, a in enumerate(R.coeffs)])
 
 
-def _binomial_roots(F, c, d, max_degree):
+def _binomial_roots(F, c, d, budget):
     """All roots of X^d = c (c != 0) in the smallest extension containing them.
 
     Returns (ext, embedding of F, sorted roots).  The extension degree runs
     up the multiples of F.degree until the d-th roots of unity are present
-    and c is a d-th power there.
+    and c is a d-th power there.  Splitting the dense binomial over F_2^N
+    takes about N d^2 field products, so it runs only when that fits the
+    budget's 2^log2_points (BudgetError otherwise).
     """
-    for k in range(1, max_degree // F.degree + 1):
+    for k in range(1, budget.max_degree // F.degree + 1):
         if (F.order ** k - 1) % d:
             continue
-        ext, emb = extend_and_embed(F, k, max_degree=max_degree)
+        ext, emb = extend_and_embed(F, k, max_degree=budget.max_degree)
         c_ext = emb(c)
         if ext.pow(c_ext, (ext.order - 1) // d) != 1:
             continue
+        if ext.degree * d * d > 1 << budget.log2_points:
+            raise BudgetError("splitting X^%d = c over F_2^%d exceeds the "
+                              "budget 2^%d" % (d, ext.degree,
+                                               budget.log2_points))
         coeffs = [c_ext] + [0] * (d - 1) + [1]
         roots = poly_roots(ext, coeffs)
         assert roots is not None and len(roots) == d
         return ext, emb, roots
     raise CapacityError("splitting field of X^%d = c exceeds degree %d"
-                        % (d, max_degree))
+                        % (d, budget.max_degree))
 
 
-def curves_isomorphic(R, R2, max_degree=DEFAULT_MAX_DEGREE):
+def curves_isomorphic(R, R2, budget=DEFAULT_BUDGET):
     """Witness for an isomorphism of the covers of R and R2, or None.
 
     Both must live over a common field and have 2-degree at least 1
@@ -110,7 +117,7 @@ def curves_isomorphic(R, R2, max_degree=DEFAULT_MAX_DEGREE):
     i0 = support[0]
     d = (1 << i0) + 1
     target = F.div(R2.coeff(i0), R.coeff(i0))
-    ext, emb, roots = _binomial_roots(F, target, d, max_degree)
+    ext, emb, roots = _binomial_roots(F, target, d, budget)
     mode = "as-covers" if h == 1 else "curves"
     for rho in roots:
         if all(emb(R2.coeff(i)) ==
@@ -127,7 +134,7 @@ def _pack(R_coeffs, width):
     return acc
 
 
-def covers_isomorphic(L, L2, max_degree=DEFAULT_MAX_DEGREE):
+def covers_isomorphic(L, L2, budget=DEFAULT_BUDGET):
     """Witness rho transforming span(L) onto span(L2) under x -> rho x, or None.
 
     L and L2 are F_2-bases of spaces of linearized polynomials (the R parts
@@ -164,7 +171,7 @@ def covers_isomorphic(L, L2, max_degree=DEFAULT_MAX_DEGREE):
         if c in seen:
             continue
         seen.add(c)
-        ext, emb, roots = _binomial_roots(F, c, d, max_degree)
+        ext, emb, roots = _binomial_roots(F, c, d, budget)
         span2 = _echelonize([_pack([emb(a) for a in R.coeffs], ext.degree)
                        for R in L2])
         for rho in roots:

@@ -1,15 +1,14 @@
 """Command line driver: construct, inspect, and verify curves as JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or schema error,
-3 capacity or budget exceeded.  Budgets can be set per invocation
-(--budget-log2, --max-degree) or through SSCURVES_BUDGET_LOG2 and
-SSCURVES_MAX_DEGREE.  With --json the standard output is machine-readable
-only; all output is deterministic, so repeated runs are byte-identical.
+3 capacity or budget exceeded.  Budgets are set per invocation by
+--budget-log2 and --max-degree, and by nothing else.  With --json the
+standard output is machine-readable only; all output is deterministic, so
+repeated runs are byte-identical.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__, jsonio, render
@@ -23,21 +22,6 @@ from .quotient import is_irreducible, quotient_rows
 from .zeta import (AdditivityError, count_points, count_series,
                    genus_and_degree, ladder_route, lpoly_from_counts,
                    verify_supersingular)
-
-
-def _budget(args):
-    """The bounds from the flags, else the environment, else the defaults."""
-    bounds = []
-    for value, name, default in (
-            (args.budget_log2, "SSCURVES_BUDGET_LOG2", DEFAULT_LOG2_POINTS),
-            (args.max_degree, "SSCURVES_MAX_DEGREE", DEFAULT_MAX_DEGREE)):
-        if value is None:
-            try:
-                value = _positive(os.environ.get(name, str(default)))
-            except argparse.ArgumentTypeError as ex:
-                raise ValueError("%s: %s" % (name, ex))
-        bounds.append(value)
-    return Budget(*bounds)
 
 
 def _positive(text):
@@ -80,7 +64,6 @@ def cmd_decompose(args):
 
 
 def cmd_construct(args):
-    budget = _budget(args)
     d = decompose(args.g)
     construction = {"g": args.g, "mode": args.mode, "glue": bool(args.glue)}
     if args.mode == "f2":
@@ -88,7 +71,7 @@ def cmd_construct(args):
             raise ValueError("--glue applies to the f2m construction only")
         curve = build_prime_field(d)
     else:
-        curve = build_components(d, budget.max_degree)
+        curve = build_components(d, args.max_degree)
         if args.glue:
             if d.t != 1:
                 raise ValueError("--glue needs a single-block genus "
@@ -114,11 +97,10 @@ def cmd_construct(args):
 
 
 def cmd_quotients(args):
-    budget = _budget(args)
-    curve = jsonio.load_curve(args.curvefile, budget.max_degree)
+    curve = jsonio.load_curve(args.curvefile, args.max_degree)
     if not isinstance(curve, CurveSpec):
         raise ValueError("quotients need a single-equation curve file")
-    F, rows = quotient_rows(curve, max_degree=budget.max_degree)
+    F, rows = quotient_rows(curve, max_degree=args.max_degree)
     lines = ["%d quotients, genus total %d"
              % (len(rows), sum(genus for _, genus, _ in rows))]
     lines += ["alpha=0x%x  genus %d  w^2+w = %s"
@@ -132,7 +114,7 @@ def cmd_quotients(args):
 
 
 def cmd_count(args):
-    budget = _budget(args)
+    budget = Budget(args.budget_log2, args.max_degree)
     curve = jsonio.load_curve(args.curvefile, budget.max_degree)
     n = count_points(curve, args.ext, budget)
     _emit(args, {"ext": args.ext, "count": n}, ["%d" % n])
@@ -140,7 +122,7 @@ def cmd_count(args):
 
 
 def cmd_lpoly(args):
-    budget = _budget(args)
+    budget = Budget(args.budget_log2, args.max_degree)
     curve = jsonio.load_curve(args.curvefile, budget.max_degree)
     genus, N = genus_and_degree(curve)
     if ladder_route(genus, N, budget) == "certified-not-recounted":
@@ -154,7 +136,7 @@ def cmd_lpoly(args):
 
 
 def cmd_verify(args):
-    budget = _budget(args)
+    budget = Budget(args.budget_log2, args.max_degree)
     curve = jsonio.load_curve(args.curvefile, budget.max_degree)
     kmax = None if args.skip_additivity else args.kmax
     single = isinstance(curve, CurveSpec)
@@ -187,17 +169,16 @@ def cmd_verify(args):
 def cmd_iso(args):
     a = jsonio.load_object(args.first, "first operand")
     b = jsonio.load_object(args.second, "second operand")
-    budget = _budget(args)
+    budget = Budget(args.budget_log2, args.max_degree)
     F = jsonio.field_from_json(a.get("field", {}), budget.max_degree)
     if F != jsonio.field_from_json(b.get("field", {}), budget.max_degree):
         raise ValueError("operands live over different fields")
     if args.mode == "curves":
         R = jsonio.linpoly_from_json(a.get("coeffs"), F)
         R2 = jsonio.linpoly_from_json(b.get("coeffs"), F)
-        witness = curves_isomorphic(R, R2, max_degree=budget.max_degree)
+        witness = curves_isomorphic(R, R2, budget)
     else:
-        witness = covers_isomorphic(_basis(a, F), _basis(b, F),
-                                    max_degree=budget.max_degree)
+        witness = covers_isomorphic(_basis(a, F), _basis(b, F), budget)
     if witness is None:
         doc = {"isomorphic": False, "mode": args.mode}
         _emit(args, doc, ["not isomorphic"])
@@ -221,10 +202,9 @@ def _basis(doc, F):
 
 def cmd_radical(args):
     a = jsonio.load_object(args.first, "operand")
-    budget = _budget(args)
-    F = jsonio.field_from_json(a.get("field", {}), budget.max_degree)
+    F = jsonio.field_from_json(a.get("field", {}), args.max_degree)
     R = jsonio.linpoly_from_json(a.get("coeffs"), F)
-    rad = radical(R, max_degree=budget.max_degree)
+    rad = radical(R, max_degree=args.max_degree)
     doc = {"ambient": jsonio.field_to_json(rad.ambient),
            "basis": [jsonio.elem_to_json(b) for b in rad.basis]}
     _emit(args, doc, ["radical dimension %d in degree-%d field"
@@ -288,10 +268,12 @@ def build_parser():
     for p in sub.choices.values():      # the shared options come last
         p.add_argument("--json", action="store_true",
                        help="machine-readable output only")
-        p.add_argument("--budget-log2", type=_positive, default=None,
+        p.add_argument("--budget-log2", type=_positive,
+                       default=DEFAULT_LOG2_POINTS,
                        help="log2 of the largest field a point count may "
                             "run over (default %d)" % DEFAULT_LOG2_POINTS)
-        p.add_argument("--max-degree", type=_positive, default=None,
+        p.add_argument("--max-degree", type=_positive,
+                       default=DEFAULT_MAX_DEGREE,
                        help="largest ambient field degree (default %d)"
                             % DEFAULT_MAX_DEGREE)
     return parser

@@ -197,7 +197,7 @@ def load_object(path, what):
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as ex:
+        except (json.JSONDecodeError, RecursionError) as ex:
             raise ValueError("not a JSON document: %s" % ex)
     _need(doc, what, ())
     return doc

@@ -4,9 +4,9 @@ All expensive operations (field construction, splitting-field searches,
 point counting) are bounded so that a bad input fails fast instead of
 grinding.  ``max_degree`` bounds the degree of the ambient fields a
 computation builds, and a point count over F_2^n runs only when n is
-within both ``log2_points`` and ``max_degree``.  The defaults are sized for desk-scale experiments and
-can be overridden per call or through the environment (see the command
-line driver).
+within both ``log2_points`` and ``max_degree``.  The defaults are sized
+for desk-scale experiments; a call can pass other bounds, and the command
+line driver takes them from its --budget-log2 and --max-degree flags.
 """
 
 from collections import namedtuple

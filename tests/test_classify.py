@@ -160,5 +160,5 @@ def test_covers_dimension_mismatch():
     # lengths answer before X^5 = 2 is solved, which needs F_2^20
     x4, x2 = lin(F16, [0, 0, 1]), lin(F16, [0, 1])
     assert covers_isomorphic([x4], [lin(F16, [0, 0, 2]), x2],
-                             max_degree=4) is None
+                             Budget(max_degree=4)) is None
     assert covers_isomorphic([x4, x2], [x4]) is None

@@ -350,20 +350,25 @@ def test_budget_exit_code(capsys):
     assert rc == 3
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    g5 = os.path.join(FIXTURES, "g5_f2.json")
-    monkeypatch.setenv("SSCURVES_BUDGET_LOG2", "8")
-    rc, _ = run(capsys, "count", g5, "--ext", "12")
-    assert rc == 3
-    rc, _ = run(capsys, "count", g5, "--ext", "2")
+@pytest.mark.parametrize("value", ["8", "0", "x"])
+def test_environment_sets_no_bound(capsys, monkeypatch, value):
+    # SSCURVES_MAX_DEGREE=8 turned verify's report into the --max-degree 8
+    # one, and SSCURVES_BUDGET_LOG2=8 refused a count over F_2^12; the
+    # bounds come from the command line alone
+    monkeypatch.setenv("SSCURVES_MAX_DEGREE", value)
+    monkeypatch.setenv("SSCURVES_BUDGET_LOG2", value)
+    rc, out = run(capsys, "verify", "--json",
+                  os.path.join(FIXTURES, "g221_f2.json"))
+    assert (rc, out) == (0, golden("g221_f2.verify.json"))
+    rc, _ = run(capsys, "count", os.path.join(FIXTURES, "g5_f2.json"),
+                "--ext", "12")
     assert rc == 0
 
 
-def test_budget_default(capsys, monkeypatch):
-    # without flag or environment the limits default applies: a count over
-    # F_2^24 fits, one over F_2^25 does not
+def test_budget_default(capsys):
+    # without a flag the limits default applies: a count over F_2^24 fits,
+    # one over F_2^25 does not
     g5 = os.path.join(FIXTURES, "g5_f2.json")
-    monkeypatch.delenv("SSCURVES_BUDGET_LOG2", raising=False)
     rc, _ = run(capsys, "count", g5, "--ext", str(DEFAULT_LOG2_POINTS))
     assert rc == 0
     rc, _ = run(capsys, "count", g5, "--ext", str(DEFAULT_LOG2_POINTS + 1))
@@ -884,15 +889,22 @@ def basis_file(tmp_path, name, basis):
     return str(path)
 
 
-@pytest.mark.parametrize("text", ["[]", "5", "null", '"curve"', "{", ""])
+@pytest.mark.parametrize("text", [
+    "[]", "5", "null", '"curve"', "{", "",
+    pytest.param("[" * 1100 + "]" * 1100, id="nested-1100"),
+    pytest.param("[" * 100000 + "]" * 100000, id="nested-100000")])
 def test_iso_and_radical_refuse_documents_that_are_not_objects(
         capsys, tmp_path, text):
-    # a list used to end in an AttributeError traceback and exit 1
+    # a list used to end in an AttributeError traceback and exit 1, and
+    # deep nesting in a RecursionError traceback and exit 1, which verify
+    # reports for a failed verification (json's C decoder stops at 1,100
+    # levels up to 3.11, and somewhere below 100,000 from 3.12 on)
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     ok = basis_file(tmp_path, "ok.json", [["0x0", "0x1"]])
     for argv in (["radical", str(bad)], ["iso", str(bad), str(bad)],
-                 ["iso", "--mode", "covers", str(ok), str(bad)]):
+                 ["iso", "--mode", "covers", str(ok), str(bad)],
+                 ["verify", str(bad)], ["count", str(bad)]):
         rc, out, err = run_full(capsys, *argv)
         assert (rc, out) == (2, "") and err.startswith("error: "), argv
         assert err.count("\n") == 1
@@ -941,6 +953,38 @@ def test_iso_covers_rejects_degree_0_bases(capsys, tmp_path):
     for first, second in ((const, const), (const, pair), (pair, const)):
         assert run_full(capsys, "iso", "--mode", "covers", first, second) == (
             2, "", "error: bases need an element of 2-degree at least 1\n")
+
+
+@pytest.mark.parametrize("i0, ext", [(10, 20), (32, 64)])
+def test_iso_prices_the_root_split(capsys, tmp_path, i0, ext):
+    # R = x^(2^i0) over F_2 gives X^d = 1 with d = 2^i0 + 1, split over
+    # F_2^ext: about ext d^2 products, which took 23 s at i0 = 10 and at
+    # i0 = 32 would have built a list of 2^32 + 2 coefficients
+    field = {"degree": 1, "modulus": "0x3"}
+    coeffs = ["0x0"] * i0 + ["0x1"]
+    r = tmp_path / "r.json"
+    r.write_text(json.dumps({"field": field, "coeffs": coeffs}))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"field": field, "basis": [coeffs]}))
+    refused = (3, "", "capacity/budget error: splitting X^%d = c over F_2^%d "
+                      "exceeds the budget 2^24\n" % ((1 << i0) + 1, ext))
+    for mode, path in (("curves", r), ("covers", b)):
+        start = time.perf_counter()
+        assert run_full(capsys, "iso", "--mode", mode, str(path),
+                        str(path)) == refused, mode
+        assert time.perf_counter() - start < 1, mode
+
+
+def test_iso_root_split_fits_at_the_bound(capsys, tmp_path):
+    # R = x^16 over F_2: X^17 = 1 splits over F_2^8, 8 * 17^2 = 2312 products
+    r = tmp_path / "r.json"
+    r.write_text(json.dumps({"field": {"degree": 1, "modulus": "0x3"},
+                             "coeffs": ["0x0"] * 4 + ["0x1"]}))
+    assert run_full(capsys, "iso", str(r), str(r), "--budget-log2", "12") == (
+        0, "isomorphic via rho = 0x1 in degree-8 field (curves)\n", "")
+    assert run_full(capsys, "iso", str(r), str(r), "--budget-log2", "11") == (
+        3, "", "capacity/budget error: splitting X^17 = c over F_2^8 exceeds "
+               "the budget 2^11\n")
 
 
 def test_iso_curves_refuses_r_of_2_degree_below_1(capsys, tmp_path):
@@ -1129,29 +1173,17 @@ def test_count_above_degree_64_within_both_bounds(capsys):
                "2^80 or the degree bound 64\n")
 
 
-@pytest.mark.parametrize("flag, env", [
-    ("--budget-log2", "SSCURVES_BUDGET_LOG2"),
-    ("--max-degree", "SSCURVES_MAX_DEGREE")])
-def test_bounds_must_be_positive(capsys, monkeypatch, flag, env):
+@pytest.mark.parametrize("flag", ["--budget-log2", "--max-degree"])
+def test_bounds_must_be_positive(capsys, flag):
     # verify --budget-log2 -5 counted nothing, certified every piece and
     # exited 0; --max-degree 0 failed with "field degree 1 exceeds bound 0"
     g5 = os.path.join(FIXTURES, "g5_f2.json")
-    monkeypatch.delenv("SSCURVES_BUDGET_LOG2", raising=False)
-    monkeypatch.delenv("SSCURVES_MAX_DEGREE", raising=False)
     for value in ("0", "-5"):
         with pytest.raises(SystemExit) as ex:
             main(["verify", g5, flag, value])
         assert ex.value.code == 2
         assert ("argument %s: must be at least 1, got %s\n" % (flag, value)
                 in capsys.readouterr().err)
-        monkeypatch.setenv(env, value)
-        assert run_full(capsys, "verify", g5) == (
-            2, "", "error: %s: must be at least 1, got %s\n" % (env, value))
-    monkeypatch.setenv(env, "x")
-    assert run_full(capsys, "count", g5) == (
-        2, "", "error: %s: invalid int value: 'x'\n" % env)
-    # the flag wins over the environment
-    assert run_full(capsys, "count", g5, flag, "24") == (0, "3\n", "")
 
 
 def test_parser_is_reused_across_calls(capsys, tmp_path):

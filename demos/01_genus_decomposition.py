@@ -6,7 +6,7 @@ need, and the dimension bound for the supersingular locus all read off this
 decomposition.
 """
 
-from sscurves import decompose, moduli_lower_bound
+from sscurves import decompose
 
 print("g   binary        blocks (s, r)        w  m  u          moduli bound")
 print("-" * 72)
@@ -25,4 +25,4 @@ print("  221 =", " + ".join(parts), "=", d.recompose())
 print()
 print("For g = 2^n the bound specializes to n:")
 for n in range(1, 11):
-    print("  g = 2^%-2d -> dimension >= %d" % (n, moduli_lower_bound(decompose(1 << n))))
+    print("  g = 2^%-2d -> dimension >= %d" % (n, decompose(1 << n).moduli_bound))

@@ -9,7 +9,7 @@ polygons).
 
 __version__ = "0.1.0"
 
-from .decomp import GenusDecomposition, decompose, moduli_lower_bound
+from .decomp import GenusDecomposition, decompose
 from .field import BinaryField, FieldEmbedding, make_field
 from .linops import LinPoly, SparsePoly, lin
 from .builder import (CurveSpec, FibreProductSpec, GenusCertificate,
@@ -21,4 +21,4 @@ from .zeta import (CountSeries, LPoly, NPReport, count_points,
                    powersum_additivity_check, verify_supersingular)
 from .classify import (IsoWitness, RadicalBasis, curves_isomorphic, e_poly,
                        radical, scaling_orbit)
-from .limits import Budget, BudgetError, CapacityError
+from .limits import Budget, BudgetError

@@ -19,7 +19,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from .field import _echelonize, make_field
-from .limits import DEFAULT_MAX_DEGREE
+from .limits import DEFAULT_BUDGET
 from .linops import (SparsePoly, as_reduce, check_weight, lin, lin_add,
                      lin_monomial, lin_rmod, lin_twist, sparse, sparse_span,
                      sparse_twist, times_x)
@@ -113,14 +113,14 @@ def stratum_certificate(d):
     return GenusCertificate(rows, total)
 
 
-def build_components(d, max_degree=DEFAULT_MAX_DEGREE):
+def build_components(d, budget=DEFAULT_BUDGET):
     """Fibre-product components for the decomposition d, over F_{2^m}.
 
     Block i contributes gamma^j x^(2^(u_i)+1) for j = 0..r_i; the powers
     gamma^0..gamma^(r_i) are F_2-independent because r_i < m.  An m beyond
-    max_degree raises CapacityError.
+    budget.max_degree raises BudgetError.
     """
-    F = make_field(d.m, max_degree)
+    F = make_field(d.m, budget)
     gamma = F.generator
     components = []
     for (s, r), u in zip(d.blocks, d.u):
@@ -246,7 +246,7 @@ def build_prime_field(d):
     in G_{i-1} contains alpha^(2^j), so that the two-variable identity
     sum_i G_{i-1}(alpha) x^(2^(u_i)+1) = sum_j x R_{w-j}(x) alpha^(2^j) holds.
     """
-    F = make_field(1)
+    F = make_field(1, DEFAULT_BUDGET)
     w = d.w
     G = [lin_monomial(F, 0)]  # G_0 = x
     for _, r in d.blocks:

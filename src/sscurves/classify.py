@@ -14,8 +14,7 @@ from collections import namedtuple
 
 from .field import _echelonize, extend_and_embed, f2_span, poly_roots
 from .linops import lin, lin_add, lin_kernel, splitting_degree
-from .limits import (DEFAULT_BUDGET, DEFAULT_MAX_DEGREE, BudgetError,
-                     CapacityError)
+from .limits import DEFAULT_BUDGET, BudgetError
 
 
 class IsoWitness(namedtuple("IsoWitness", "rho field mode")):
@@ -49,11 +48,11 @@ def e_poly(R):
     return lin(F, out)
 
 
-def radical(R, max_degree=DEFAULT_MAX_DEGREE):
+def radical(R, budget=DEFAULT_BUDGET):
     """Kernel of e_poly(R) in its splitting field."""
     E = e_poly(R)
-    k = splitting_degree(E, max_degree=max_degree)
-    ext, emb = extend_and_embed(R.field, k, max_degree=max_degree)
+    k = splitting_degree(E, budget)
+    ext, emb = extend_and_embed(R.field, k, budget)
     return RadicalBasis(ext, tuple(lin_kernel(E.map_field(emb))))
 
 
@@ -78,7 +77,7 @@ def _binomial_roots(F, c, d, budget):
     for k in range(1, budget.max_degree // F.degree + 1):
         if (F.order ** k - 1) % d:
             continue
-        ext, emb = extend_and_embed(F, k, max_degree=budget.max_degree)
+        ext, emb = extend_and_embed(F, k, budget)
         c_ext = emb(c)
         if ext.pow(c_ext, (ext.order - 1) // d) != 1:
             continue
@@ -90,8 +89,8 @@ def _binomial_roots(F, c, d, budget):
         roots = poly_roots(ext, coeffs)
         assert roots is not None and len(roots) == d
         return ext, emb, roots
-    raise CapacityError("splitting field of X^%d = c exceeds degree %d"
-                        % (d, budget.max_degree))
+    raise BudgetError("splitting field of X^%d = c exceeds degree %d"
+                      % (d, budget.max_degree))
 
 
 def curves_isomorphic(R, R2, budget=DEFAULT_BUDGET):

@@ -1,10 +1,10 @@
 """Command line driver: construct, inspect, and verify curves as JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or schema error,
-3 capacity or budget exceeded.  Budgets are set per invocation by
---budget-log2 and --max-degree, and by nothing else.  With --json the
-standard output is machine-readable only; all output is deterministic, so
-repeated runs are byte-identical.
+3 a bound exceeded (BudgetError) or memory run out.  Bounds are set per
+invocation by --budget-log2 and --max-degree, and by nothing else.  With
+--json the standard output is machine-readable only; all output is
+deterministic, so repeated runs are byte-identical.
 """
 
 import argparse
@@ -17,7 +17,7 @@ from .builder import (CurveSpec, build_components, build_prime_field,
 from .classify import covers_isomorphic, curves_isomorphic, radical
 from .decomp import decompose
 from .limits import (DEFAULT_LOG2_POINTS, DEFAULT_MAX_DEGREE, Budget,
-                     BudgetError, CapacityError)
+                     BudgetError)
 from .quotient import is_irreducible, quotient_rows
 from .zeta import (AdditivityError, count_points, count_series,
                    genus_and_degree, ladder_route, lpoly_from_counts,
@@ -71,7 +71,7 @@ def cmd_construct(args):
             raise ValueError("--glue applies to the f2m construction only")
         curve = build_prime_field(d)
     else:
-        curve = build_components(d, args.max_degree)
+        curve = build_components(d, args.budget)
         if args.glue:
             if d.t != 1:
                 raise ValueError("--glue needs a single-block genus "
@@ -97,10 +97,10 @@ def cmd_construct(args):
 
 
 def cmd_quotients(args):
-    curve = jsonio.load_curve(args.curvefile, args.max_degree)
+    curve = jsonio.load_curve(args.curvefile, args.budget)
     if not isinstance(curve, CurveSpec):
         raise ValueError("quotients need a single-equation curve file")
-    F, rows = quotient_rows(curve, max_degree=args.max_degree)
+    F, rows = quotient_rows(curve, args.budget)
     lines = ["%d quotients, genus total %d"
              % (len(rows), sum(genus for _, genus, _ in rows))]
     lines += ["alpha=0x%x  genus %d  w^2+w = %s"
@@ -114,34 +114,31 @@ def cmd_quotients(args):
 
 
 def cmd_count(args):
-    budget = Budget(args.budget_log2, args.max_degree)
-    curve = jsonio.load_curve(args.curvefile, budget.max_degree)
-    n = count_points(curve, args.ext, budget)
+    curve = jsonio.load_curve(args.curvefile, args.budget)
+    n = count_points(curve, args.ext, args.budget)
     _emit(args, {"ext": args.ext, "count": n}, ["%d" % n])
     return 0
 
 
 def cmd_lpoly(args):
-    budget = Budget(args.budget_log2, args.max_degree)
-    curve = jsonio.load_curve(args.curvefile, budget.max_degree)
+    curve = jsonio.load_curve(args.curvefile, args.budget)
     genus, N = genus_and_degree(curve)
-    if ladder_route(genus, N, budget) == "certified-not-recounted":
+    if ladder_route(genus, N, args.budget) == "certified-not-recounted":
         raise BudgetError("curve is too large to count directly; "
                           "use verify for the piecewise ladder")
-    coeffs = list(lpoly_from_counts(count_series(curve, genus, budget)).coeffs
-                  if genus else [1])    # rational
+    coeffs = list(lpoly_from_counts(count_series(
+        curve, genus, args.budget)).coeffs if genus else [1])   # rational
     doc = {"genus": genus, "lpoly": [str(c) for c in coeffs]}
     _emit(args, doc, ["genus %d" % genus, "L = %s" % coeffs])
     return 0
 
 
 def cmd_verify(args):
-    budget = Budget(args.budget_log2, args.max_degree)
-    curve = jsonio.load_curve(args.curvefile, budget.max_degree)
+    curve = jsonio.load_curve(args.curvefile, args.budget)
     kmax = None if args.skip_additivity else args.kmax
     single = isinstance(curve, CurveSpec)
     try:
-        report = verify_supersingular(curve, budget, kmax)
+        report = verify_supersingular(curve, args.budget, kmax)
     except AdditivityError:
         raise           # the check failed to run: an error, not a verdict
     except ValueError as ex:
@@ -169,16 +166,15 @@ def cmd_verify(args):
 def cmd_iso(args):
     a = jsonio.load_object(args.first, "first operand")
     b = jsonio.load_object(args.second, "second operand")
-    budget = Budget(args.budget_log2, args.max_degree)
-    F = jsonio.field_from_json(a.get("field", {}), budget.max_degree)
-    if F != jsonio.field_from_json(b.get("field", {}), budget.max_degree):
+    F = jsonio.field_from_json(a.get("field", {}), args.budget)
+    if F != jsonio.field_from_json(b.get("field", {}), args.budget):
         raise ValueError("operands live over different fields")
     if args.mode == "curves":
         R = jsonio.linpoly_from_json(a.get("coeffs"), F)
         R2 = jsonio.linpoly_from_json(b.get("coeffs"), F)
-        witness = curves_isomorphic(R, R2, budget)
+        witness = curves_isomorphic(R, R2, args.budget)
     else:
-        witness = covers_isomorphic(_basis(a, F), _basis(b, F), budget)
+        witness = covers_isomorphic(_basis(a, F), _basis(b, F), args.budget)
     if witness is None:
         doc = {"isomorphic": False, "mode": args.mode}
         _emit(args, doc, ["not isomorphic"])
@@ -202,9 +198,9 @@ def _basis(doc, F):
 
 def cmd_radical(args):
     a = jsonio.load_object(args.first, "operand")
-    F = jsonio.field_from_json(a.get("field", {}), args.max_degree)
+    F = jsonio.field_from_json(a.get("field", {}), args.budget)
     R = jsonio.linpoly_from_json(a.get("coeffs"), F)
-    rad = radical(R, max_degree=args.max_degree)
+    rad = radical(R, args.budget)
     doc = {"ambient": jsonio.field_to_json(rad.ambient),
            "basis": [jsonio.elem_to_json(b) for b in rad.basis]}
     _emit(args, doc, ["radical dimension %d in degree-%d field"
@@ -287,10 +283,12 @@ def main(argv=None):
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
+    args.budget = Budget(args.budget_log2, args.max_degree)
     try:
         return args.func(args)
-    except (BudgetError, CapacityError) as ex:
-        print("capacity/budget error: %s" % ex, file=sys.stderr)
+    except (BudgetError, MemoryError) as ex:     # str(MemoryError()) is ""
+        why = ex if isinstance(ex, BudgetError) else "out of memory"
+        print("capacity/budget error: %s" % why, file=sys.stderr)
         return 3
     except (ValueError, ZeroDivisionError, OSError) as ex:
         print("error: %s" % ex, file=sys.stderr)

@@ -68,10 +68,3 @@ def decompose(g):
     d = GenusDecomposition(g, tuple(blocks), w, m, tuple(u), bound)
     assert d.recompose() == g
     return d
-
-
-def moduli_lower_bound(d):
-    """Lower bound for the dimension of the supersingular locus in genus g >= 2."""
-    if d.g < 2:
-        raise ValueError("moduli bound is defined for genus >= 2 only")
-    return d.moduli_bound

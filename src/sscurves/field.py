@@ -31,7 +31,7 @@ from itertools import accumulate, chain
 from operator import xor
 
 from . import gf2x
-from .limits import DEFAULT_MAX_DEGREE, CapacityError
+from .limits import DEFAULT_BUDGET
 
 # Fields at or below this degree get a log table on first use.
 _TABLE_MAX_DEGREE = 20
@@ -276,12 +276,11 @@ def _xor_rows(rows, z):
 _FIELD_CACHE = {}
 
 
-def make_field(n, max_degree=DEFAULT_MAX_DEGREE):
+def make_field(n, budget=DEFAULT_BUDGET):
     """The canonical F_{2^n}: smallest-pattern irreducible modulus of degree n."""
     if n < 1:
         raise ValueError("field degree must be positive")
-    if n > max_degree:
-        raise CapacityError("field degree %d exceeds bound %d" % (n, max_degree))
+    budget.check_degree(n)
     f = _FIELD_CACHE.get(n)
     if f is None:
         f = BinaryField(n, gf2x.smallest_irreducible(n))
@@ -544,7 +543,7 @@ def _conjugates(F, a, d):
     return list(accumulate(range(d - 1), lambda c, _: F.sqr(c), initial=a))
 
 
-def extend_and_embed(base, k, max_degree=DEFAULT_MAX_DEGREE):
+def extend_and_embed(base, k, budget=DEFAULT_BUDGET):
     """The canonical degree-k extension of base together with the embedding."""
-    ext = base if k == 1 else make_field(base.degree * k, max_degree=max_degree)
+    ext = base if k == 1 else make_field(base.degree * k, budget)
     return ext, embedding_into(base, ext)

@@ -19,7 +19,7 @@ from . import __version__
 from .builder import CurveSpec, FibreProductSpec, stratum_certificate
 from .decomp import decompose
 from .field import BinaryField
-from .limits import DEFAULT_MAX_DEGREE, CapacityError
+from .limits import DEFAULT_BUDGET
 from .linops import lin, sparse
 
 
@@ -83,16 +83,14 @@ def field_to_json(F):
     return {"degree": F.degree, "modulus": "0x%x" % F.modulus}
 
 
-def field_from_json(obj, max_degree=DEFAULT_MAX_DEGREE):
-    """The field of a document; a degree above max_degree raises CapacityError
-    before the modulus is tested for irreducibility."""
+def field_from_json(obj, budget=DEFAULT_BUDGET):
+    """The field of a document; a degree above budget.max_degree raises
+    BudgetError before the modulus is tested for irreducibility."""
     _need(obj, "field", ("degree", "modulus"))
     degree = obj["degree"]
     if type(degree) is not int or degree < 1:  # isinstance would pass True
         raise ValueError("bad field degree %r" % (degree,))
-    if degree > max_degree:
-        raise CapacityError("field degree %d exceeds bound %d"
-                            % (degree, max_degree))
+    budget.check_degree(degree)
     modulus = obj["modulus"]
     try:
         modulus = int(modulus, 16)
@@ -169,9 +167,9 @@ def curve_to_json(curve, construction):
     return doc
 
 
-def curve_from_json(doc, max_degree=DEFAULT_MAX_DEGREE):
+def curve_from_json(doc, budget=DEFAULT_BUDGET):
     _need(doc, "curve file", ("kind", "field"))
-    F = field_from_json(doc["field"], max_degree)
+    F = field_from_json(doc["field"], budget)
     if doc["kind"] == "single":
         _need(doc, "curve file", ("S", "R"))
         S = linpoly_from_json(doc["S"], F)
@@ -188,8 +186,8 @@ def curve_from_json(doc, max_degree=DEFAULT_MAX_DEGREE):
     raise ValueError("unknown curve kind %r" % (doc["kind"],))
 
 
-def load_curve(path, max_degree=DEFAULT_MAX_DEGREE):
-    return curve_from_json(load_object(path, "curve file"), max_degree)
+def load_curve(path, budget=DEFAULT_BUDGET):
+    return curve_from_json(load_object(path, "curve file"), budget)
 
 
 def load_object(path, what):

@@ -1,12 +1,12 @@
-"""Capacity and point-count budgets shared across the library.
+"""The one Budget that bounds every expensive operation in the library.
 
-All expensive operations (field construction, splitting-field searches,
-point counting) are bounded so that a bad input fails fast instead of
-grinding.  ``max_degree`` bounds the degree of the ambient fields a
-computation builds, and a point count over F_2^n runs only when n is
-within both ``log2_points`` and ``max_degree``.  The defaults are sized
-for desk-scale experiments; a call can pass other bounds, and the command
-line driver takes them from its --budget-log2 and --max-degree flags.
+Field construction, splitting-field searches and point counts are bounded
+so that a bad input fails fast instead of grinding, and an exceeded bound
+raises BudgetError.  ``max_degree`` bounds the degree of the ambient
+fields a computation builds, and a point count over F_2^n runs only when
+n is within both ``log2_points`` and ``max_degree``.  The defaults are
+sized for desk-scale experiments; the command line driver builds its
+Budget from the --budget-log2 and --max-degree flags.
 """
 
 from collections import namedtuple
@@ -18,12 +18,8 @@ DEFAULT_MAX_DEGREE = 64
 DEFAULT_LOG2_POINTS = 24
 
 
-class CapacityError(RuntimeError):
-    """A requested field or splitting field exceeds the degree bound."""
-
-
 class BudgetError(RuntimeError):
-    """A requested point count exceeds the budget."""
+    """A requested field, splitting field or point count exceeds a bound."""
 
 
 class Budget(namedtuple("Budget", "log2_points max_degree",
@@ -31,6 +27,11 @@ class Budget(namedtuple("Budget", "log2_points max_degree",
     """Resource bounds for verification runs."""
 
     __slots__ = ()
+
+    def check_degree(self, n):
+        if n > self.max_degree:
+            raise BudgetError("field degree %d exceeds bound %d"
+                              % (n, self.max_degree))
 
     def check_points(self, degree):
         if not self.fits_points(degree):

@@ -18,7 +18,7 @@ from collections import namedtuple
 from operator import xor
 
 from .field import F2LinearMap, embedding_into, f2_span, make_field
-from .limits import DEFAULT_MAX_DEGREE, CapacityError
+from .limits import DEFAULT_BUDGET, BudgetError
 
 
 class LinPoly(namedtuple("LinPoly", "field coeffs")):
@@ -146,14 +146,14 @@ def lin_kernel(R):
     return F2LinearMap(lin_images(R)).kernel_basis()
 
 
-def splitting_degree(R, max_degree=DEFAULT_MAX_DEGREE):
+def splitting_degree(R, budget=DEFAULT_BUDGET):
     """Least k such that all roots of R lie in the degree-k extension of its field.
 
     Requires a separable input (a_0 != 0).  With q the order of R's field,
     the roots lie in F_(q^k) exactly when R right-divides x^(q^k) + x, that
     is when x^(q^k) leaves the remainder x.  Squaring the remainder of
     x^(2^i) (a twist) and reducing it again gives that of x^(2^(i+1)), so the
-    work is h + 1 coefficients per step, capped at max_degree // d steps.
+    work is h + 1 coefficients per step, capped at budget.max_degree // d steps.
     """
     if R.is_zero():
         raise ValueError("zero polynomial has no splitting field")
@@ -162,14 +162,14 @@ def splitting_degree(R, max_degree=DEFAULT_MAX_DEGREE):
     F = R.field
     x = lin_rmod(lin_monomial(F, 0), R)
     t = x
-    for k in range(1, max_degree // F.degree + 1):
+    for k in range(1, budget.max_degree // F.degree + 1):
         for _ in range(F.degree):
             t = lin_rmod(lin_twist(t, 1), R)
         if t == x:
             return k
-    raise CapacityError(
+    raise BudgetError(
         "splitting field of 2-degree-%d polynomial exceeds degree %d"
-        % (R.h, max_degree))
+        % (R.h, budget.max_degree))
 
 
 class SparsePoly(namedtuple("SparsePoly", "field terms")):
@@ -278,7 +278,7 @@ def check_weight(terms):
                              "up to 2 are counted" % (e, e.bit_count()))
 
 
-def definition_field(f, d):
+def definition_field(f, d, budget=DEFAULT_BUDGET):
     """Re-express f over F_2^d, d the degree of the smallest subfield
     containing its coefficients.
 
@@ -288,7 +288,7 @@ def definition_field(f, d):
     F = f.field
     if d == F.degree:
         return f
-    sub = make_field(d)
+    sub = make_field(d, budget)
     emb = embedding_into(sub, F)
     out = {}
     for e, c in f.terms:

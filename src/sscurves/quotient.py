@@ -21,7 +21,7 @@ from .field import extend_and_embed, f2_span
 from .linops import (SparsePoly, as_genus, as_reduce, lin, lin_add, lin_eval,
                      lin_kernel, lin_scale, lin_twist, sparse_span,
                      splitting_degree, times_x)
-from .limits import DEFAULT_MAX_DEGREE
+from .limits import DEFAULT_BUDGET
 
 
 class AlphaSpace(namedtuple("AlphaSpace", "ambient basis embedding equation")):
@@ -75,12 +75,12 @@ def column_poly(c, e):
     return lin(c.field, [R.coeff(e) for R in reversed(c.R_list)])
 
 
-def solve_alpha_space(c, max_degree=DEFAULT_MAX_DEGREE):
+def solve_alpha_space(c, budget=DEFAULT_BUDGET):
     """Kernel of the dual equation of c, in its splitting extension."""
     c.validate()
     eq = dual_equation(c)
-    k = splitting_degree(eq, max_degree=max_degree)
-    ext, emb = extend_and_embed(c.field, k, max_degree=max_degree)
+    k = splitting_degree(eq, budget)
+    ext, emb = extend_and_embed(c.field, k, budget)
     eq_ext = eq.map_field(emb)
     basis = lin_kernel(eq_ext)
     assert len(basis) == c.n, "separable dual equation must split completely"
@@ -149,7 +149,7 @@ def is_irreducible(c):
     return sum(dim for _, dim in c.strata) == c.n
 
 
-def quotient_rows(c, max_degree=DEFAULT_MAX_DEGREE):
+def quotient_rows(c, budget=DEFAULT_BUDGET):
     """(ambient, [(alpha, genus, terms), ...]) in the order of members().
 
     Only the n basis quotients are built; the rest are sums of theirs
@@ -161,15 +161,15 @@ def quotient_rows(c, max_degree=DEFAULT_MAX_DEGREE):
     """
     if not is_irreducible(c):
         raise ValueError("curve is reducible: decomposition undefined")
-    space = solve_alpha_space(c, max_degree=max_degree)
+    space = solve_alpha_space(c, budget)
     rows = sparse_span([quotient_curve(c, a, space).rhs for a in space.basis])
     return space.ambient, [(alpha, (t[0][0] - 1) // 2, t)
                            for alpha, t in zip(space.members(), rows[1:])]
 
 
-def decomposition(c, max_degree=DEFAULT_MAX_DEGREE):
+def decomposition(c, budget=DEFAULT_BUDGET):
     """Quotient curves for every nonzero alpha, in the order of members()."""
-    F, rows = quotient_rows(c, max_degree=max_degree)
+    F, rows = quotient_rows(c, budget)
     # The right-hand sides are made before the curves, so a caller that keeps
     # them and drops the curves (zeta._pieces) frees whole allocator pools.
     rhs = [SparsePoly(F, t) for _, _, t in rows]

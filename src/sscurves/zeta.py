@@ -54,7 +54,7 @@ from .builder import (CurveSpec, FibreProductSpec, fibre_combinations,
 from .field import _xor_rows, extend_and_embed
 from .linops import (as_genus, as_reduce, check_weight, definition_field, lin,
                      lin_images, lin_kernel)
-from .limits import DEFAULT_BUDGET, BudgetError, CapacityError
+from .limits import DEFAULT_BUDGET, BudgetError
 from .quotient import QuotientCurve, decomposition, dual_equation, is_irreducible
 
 
@@ -138,7 +138,7 @@ def count_artin_schreier(rhs, k, budget=DEFAULT_BUDGET):
 def _extension(F, k, budget):
     """The degree-k extension of F a count runs over, within the budget."""
     budget.check_points(F.degree * k)
-    return extend_and_embed(F, k, budget.max_degree)
+    return extend_and_embed(F, k, budget)
 
 
 def _check_irreducible(curve):
@@ -477,7 +477,7 @@ def verify_supersingular(curve, budget=DEFAULT_BUDGET, kmax=None):
                 pieces = _pieces(curve, budget)
                 classes = _classes(pieces or ())
             ok = _additive(curve, pieces, kmax, budget, classes)
-        except (BudgetError, CapacityError):
+        except BudgetError:
             ok = "skipped (budget)"
         except ValueError as ex:
             raise AdditivityError(str(ex)) from ex
@@ -496,7 +496,7 @@ def _ladder_class(curve, rhs, d, gp, budget, report):
     counts = []
     if mode == "numeric":
         entry_curve = curve if rhs is None else QuotientCurve(
-            0, definition_field(rhs, d), gp)
+            0, definition_field(rhs, d, budget), gp)
         series = count_series(entry_curve, gp, budget)
         L = lpoly_from_counts(series)
         np_report = newton_polygon(L, d)
@@ -535,8 +535,8 @@ def _pieces(curve, budget):
         return [("combination 0x%x" % mask, f, None)
                 for mask, f in fibre_combinations(curve)]
     try:
-        pieces = decomposition(curve, max_degree=budget.max_degree)
-    except CapacityError:
+        pieces = decomposition(curve, budget)
+    except BudgetError:
         return None
     return [("alpha=0x%x" % p.alpha, p.rhs, p.genus) for p in pieces]
 
@@ -560,7 +560,7 @@ def _additive(curve, pieces, kmax, budget, classes):
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     if pieces is None:
-        raise CapacityError("quotient pieces exceed the degree bound")
+        raise BudgetError("quotient pieces exceed the degree bound")
     M = pieces[0][1].field.degree if pieces else curve.field.degree
     scale = M // curve.field.degree
     for k in range(1, kmax + 1):

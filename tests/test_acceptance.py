@@ -19,7 +19,7 @@ from sscurves.builder import (build_components, build_prime_field,
                               stratum_certificate, to_standard_form)
 from sscurves.cli import main
 from sscurves.classify import curves_isomorphic
-from sscurves.decomp import decompose, moduli_lower_bound
+from sscurves.decomp import decompose
 from sscurves.field import embedding_into, make_field
 from sscurves.limits import Budget
 from sscurves.linops import as_genus, lin, times_x
@@ -177,8 +177,8 @@ def test_c07_known_elliptic_values():
 def test_c08_moduli_bounds():
     t0 = time.time()
     for n in range(1, 11):
-        assert moduli_lower_bound(decompose(1 << n)) == n
-    assert moduli_lower_bound(decompose(221)) == 12
+        assert decompose(1 << n).moduli_bound == n
+    assert decompose(221).moduli_bound == 12
     elapsed = time.time() - t0
     assert elapsed < 1.0
     print("criterion 8 PASS: moduli bounds n for 2^n (n = 1..10) and 12 for "

@@ -46,7 +46,7 @@ def test_radical():
     for h in (1, 2, 3):
         for _ in range(5):
             R = lin(F4, [rng.randrange(4) for _ in range(h)] + [rng.randrange(1, 4)])
-            rad = radical(R, max_degree=64)
+            rad = radical(R, Budget(max_degree=64))
             assert len(rad.basis) == 2 * h, (h, R.coeffs)
             E = e_poly(R).map_field(embedding_into(F4, rad.ambient))
             assert all(lin_eval(E, b) == 0 for b in rad.basis)

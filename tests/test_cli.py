@@ -350,6 +350,20 @@ def test_budget_exit_code(capsys):
     assert rc == 3
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    # a MemoryError left main with a traceback and exit 1, the code of a
+    # curve that is not supersingular; running out of memory is a bound
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_supersingular", out_of_memory)
+    rc, out, err = run_full(capsys, "verify", os.path.join(FIXTURES,
+                                                           "g5_f2.json"))
+    assert (rc, out) == (3, "")
+    assert err == "capacity/budget error: out of memory\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["8", "0", "x"])
 def test_environment_sets_no_bound(capsys, monkeypatch, value):
     # SSCURVES_MAX_DEGREE=8 turned verify's report into the --max-degree 8

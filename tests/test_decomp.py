@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from sscurves.decomp import decompose, moduli_lower_bound
+from sscurves.decomp import decompose
 
 
 def oracle_blocks(g):
@@ -81,10 +81,7 @@ def test_uniqueness_against_constraints():
 
 def test_moduli_bounds():
     for n in range(1, 11):
-        assert moduli_lower_bound(decompose(1 << n)) == n
-    assert moduli_lower_bound(decompose(221)) == 12
-    assert moduli_lower_bound(decompose(2)) == 1
-    for g in (1,):
-        with pytest.raises(ValueError):
-            moduli_lower_bound(decompose(g))
+        assert decompose(1 << n).moduli_bound == n
+    assert decompose(221).moduli_bound == 12
+    assert decompose(2).moduli_bound == 1
     assert decompose(1).moduli_bound is None

@@ -7,7 +7,7 @@ from sscurves import gf2x
 from sscurves.field import (BinaryField, F2LinearMap, _trace_split,
                             _xor_rows, embedding_into, extend_and_embed, f2_linear_solve,
                             make_field, poly_roots, psqr)
-from sscurves.limits import CapacityError
+from sscurves.limits import Budget, BudgetError
 
 SMALL = settings(max_examples=150, deadline=None)
 
@@ -34,8 +34,8 @@ def test_make_field_canonical_moduli():
 
 
 def test_make_field_capacity():
-    with pytest.raises(CapacityError):
-        make_field(100, max_degree=64)
+    with pytest.raises(BudgetError):
+        make_field(100, Budget(max_degree=64))
     with pytest.raises(ValueError):
         make_field(0)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sscurves import gf2x
 from sscurves.field import embedding_into, make_field, pmod, psqr, ptrim
-from sscurves.limits import CapacityError
+from sscurves.limits import Budget, BudgetError
 from sscurves.linops import (as_genus, as_reduce, lin, lin_add, lin_eval,
                              lin_images, lin_kernel, lin_monomial,
                              lin_rmod, lin_twist,
@@ -107,14 +107,14 @@ def test_splitting_degree():
 
 def test_splitting_degree_cap():
     G = lin(F2, [1, 1, 0, 1, 1])                           # degree 6
-    assert splitting_degree(G, max_degree=6) == 6
-    with pytest.raises(CapacityError, match="exceeds degree 5"):
-        splitting_degree(G, max_degree=5)
+    assert splitting_degree(G, Budget(max_degree=6)) == 6
+    with pytest.raises(BudgetError, match="exceeds degree 5"):
+        splitting_degree(G, Budget(max_degree=5))
     # over F_4 the cap counts F_2-degrees: k = 3 needs degree 6
     E = lin(F4, [1, 1, 0, 1, 1])
-    assert splitting_degree(E, max_degree=6) == 3
-    with pytest.raises(CapacityError):
-        splitting_degree(E, max_degree=5)
+    assert splitting_degree(E, Budget(max_degree=6)) == 3
+    with pytest.raises(BudgetError):
+        splitting_degree(E, Budget(max_degree=5))
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,10 +165,10 @@ def test_splitting_degree_matches_ordinary_oracle():
         max_degree = rng.choice([d, 4 * d, 12, 64])
         expected = ordinary_splitting_degree(R, max_degree)
         if expected is None:
-            with pytest.raises(CapacityError):
-                splitting_degree(R, max_degree=max_degree)
+            with pytest.raises(BudgetError):
+                splitting_degree(R, Budget(max_degree=max_degree))
         else:
-            assert splitting_degree(R, max_degree=max_degree) == expected
+            assert splitting_degree(R, Budget(max_degree=max_degree)) == expected
         verdicts.add(expected is None)
     assert verdicts == {True, False}
 
@@ -266,6 +266,16 @@ def test_definition_field():
     assert as_dict(small) == {3: 2, 5: 1}
     g = sparse(F64, {3: 2})          # the F_64 generator needs full degree
     assert definition_field(g, 6) is g
+
+
+def test_definition_field_keeps_the_callers_bound():
+    # a piece over F_2^130 defined over F_2^65 descended under the default
+    # bound of 64, whatever bound the caller passed, and was refused
+    budget = Budget(200, 200)
+    F = make_field(130, budget)
+    sub = make_field(65, budget)
+    f = sparse(F, {3: embedding_into(sub, F)(sub.generator), 1: 1})
+    assert definition_field(f, 65, budget).field.degree == 65
 
 
 def test_sparse_span_on_hand_made_bases():

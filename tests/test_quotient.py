@@ -11,7 +11,7 @@ from sscurves.decomp import decompose
 from sscurves.field import (_xor_rows, embedding_into, extend_and_embed,
                             make_field, pgcd)
 from sscurves.jsonio import load_curve
-from sscurves.limits import CapacityError
+from sscurves.limits import BudgetError
 from sscurves.linops import (as_genus, as_reduce, lin, lin_add, lin_eval,
                              lin_kernel, lin_scale, lin_twist,
                              splitting_degree)
@@ -298,7 +298,7 @@ def test_decomposition_is_the_per_alpha_path():
             continue
         try:
             spaces.append(solve_alpha_space(c))
-        except CapacityError:
+        except BudgetError:
             continue
         curves.append(c)
     for c, space in zip(curves, spaces):

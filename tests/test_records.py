@@ -5,7 +5,9 @@ names in order, compares and hashes by value, refuses attribute writes and
 prints the same repr text; the two mutable records keep their defaults.
 """
 
+import ast
 import inspect
+import os
 
 import pytest
 
@@ -98,6 +100,30 @@ def test_budget_defaults():
     assert (Budget().log2_points, Budget().max_degree) == (24, 64)
     assert Budget(10) == Budget(10, 64)
     assert Budget(max_degree=8) == Budget(24, 8)
+
+
+def test_bounds_enter_the_library_as_one_budget():
+    # no function takes a bare max_degree, every make_field call passes a
+    # budget rather than lean on the default bound, and BudgetError is the
+    # only exception a bound raises
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src",
+                       "sscurves")
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            where = (name, getattr(node, "lineno", None))
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                assert "max_degree" not in [
+                    p.arg for p in a.posonlyargs + a.args + a.kwonlyargs], where
+            elif isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "id", getattr(f, "attr", None)) == "make_field":
+                    assert len(node.args) > 1 or any(
+                        k.arg == "budget" for k in node.keywords), where
+            elif isinstance(node, ast.ClassDef):
+                assert node.name != "CapacityError", where
 
 
 def test_spec_properties_are_computed_once(monkeypatch):

@@ -9,7 +9,7 @@ from sscurves import gf2x, jsonio
 from sscurves.builder import FibreProductSpec, glue_single_block, to_standard_form
 from sscurves.classify import covers_isomorphic, curves_isomorphic, scaling_orbit
 from sscurves.field import make_field, pdivmod
-from sscurves.limits import Budget, BudgetError, CapacityError
+from sscurves.limits import Budget, BudgetError
 from sscurves.linops import (lin, lin_add, lin_kernel, lin_rmod, lin_twist,
                              sparse, splitting_degree)
 from sscurves.quotient import split
@@ -63,7 +63,7 @@ def factor_with_few_rho_steps():
     # 3 is no fifth power in F_16, and F_256 is past the bound
     (lambda: curves_isomorphic(lin(F16, [0, 0, 1]), lin(F16, [0, 0, 3]),
                                Budget(max_degree=4)),
-     CapacityError, "splitting field of X^5 = c exceeds degree 4"),
+     BudgetError, "splitting field of X^5 = c exceeds degree 4"),
     (lambda: curves_isomorphic(lin(F2, [0, 1]), lin(F4, [0, 1])), ValueError,
      "coefficient fields differ"),
     (lambda: curves_isomorphic(lin(F16, [1]), lin(F16, [1])), ValueError,

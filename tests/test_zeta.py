@@ -12,7 +12,7 @@ from sscurves.builder import (CurveSpec, FibreProductSpec, build_components,
 from sscurves.decomp import decompose
 from sscurves.field import F2LinearMap, extend_and_embed, make_field
 from sscurves.gf2x import smallest_irreducible
-from sscurves.limits import Budget, BudgetError, CapacityError
+from sscurves.limits import Budget, BudgetError
 from sscurves.linops import (as_reduce, definition_field, lin, lin_eval,
                              sparse)
 from sscurves.quotient import QuotientCurve, is_irreducible
@@ -434,7 +434,7 @@ def test_ladder_additivity_matches_a_fresh_check(budget):
     for name, curve in _fixture_curves():
         try:
             fresh = powersum_additivity_check(curve, 2, budget)
-        except (BudgetError, CapacityError):
+        except BudgetError:
             fresh = "skipped (budget)"
         report = verify_supersingular(curve, budget, kmax=2)
         assert report.checks["powersum_additivity"] == fresh, name
@@ -804,7 +804,7 @@ def test_powersum_additivity():
             continue
         try:
             assert powersum_additivity_check(c, 2, budget), c
-        except (BudgetError, CapacityError):
+        except BudgetError:
             continue
         checked += 1
 
@@ -817,7 +817,7 @@ def test_powersum_additivity_edges():
             powersum_additivity_check(c5, kmax, B16)
     # the alpha space of g221 splits over F_2^24, beyond max_degree 8
     c221 = build_prime_field(decompose(221))
-    with pytest.raises(CapacityError):
+    with pytest.raises(BudgetError):
         powersum_additivity_check(c221, 1, Budget(max_degree=8))
     # no components: no pieces, the curve's own field, P^1 on both sides
     assert powersum_additivity_check(FibreProductSpec(F2, ()), 2, B16)

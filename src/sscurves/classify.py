@@ -11,9 +11,10 @@ of the line, and the verdict is labelled accordingly.
 """
 
 from collections import namedtuple
+from operator import xor
 
 from .field import _echelonize, extend_and_embed, f2_span, poly_roots
-from .linops import lin, lin_add, lin_kernel, splitting_degree
+from .linops import lin, lin_kernel, splitting_degree
 from .limits import DEFAULT_BUDGET, BudgetError
 
 
@@ -65,14 +66,14 @@ def scaling_orbit(R, rho):
                    for i, a in enumerate(R.coeffs)])
 
 
-def _binomial_roots(F, c, d, budget):
+def _binomial_roots(F, c, d, budget, spent=0):
     """All roots of X^d = c (c != 0) in the smallest extension containing them.
 
     Returns (ext, embedding of F, sorted roots).  The extension degree runs
     up the multiples of F.degree until the d-th roots of unity are present
     and c is a d-th power there.  Splitting the dense binomial over F_2^N
-    takes about N d^2 field products, so it runs only when that fits the
-    budget's 2^log2_points (BudgetError otherwise).
+    takes about N d^2 field products; it runs only when that, plus the
+    spent products of earlier splits, fits 2^log2_points (else BudgetError).
     """
     for k in range(1, budget.max_degree // F.degree + 1):
         if (F.order ** k - 1) % d:
@@ -81,10 +82,11 @@ def _binomial_roots(F, c, d, budget):
         c_ext = emb(c)
         if ext.pow(c_ext, (ext.order - 1) // d) != 1:
             continue
-        if ext.degree * d * d > 1 << budget.log2_points:
-            raise BudgetError("splitting X^%d = c over F_2^%d exceeds the "
-                              "budget 2^%d" % (d, ext.degree,
-                                               budget.log2_points))
+        if spent + ext.degree * d * d > 1 << budget.log2_points:
+            after = " after %d products of earlier splits" % spent
+            raise BudgetError(
+                "splitting X^%d = c over F_2^%d exceeds the budget 2^%d%s"
+                % (d, ext.degree, budget.log2_points, after if spent else ""))
         coeffs = [c_ext] + [0] * (d - 1) + [1]
         roots = poly_roots(ext, coeffs)
         assert roots is not None and len(roots) == d
@@ -137,9 +139,9 @@ def covers_isomorphic(L, L2, budget=DEFAULT_BUDGET):
     """Witness rho transforming span(L) onto span(L2) under x -> rho x, or None.
 
     L and L2 are F_2-bases of spaces of linearized polynomials (the R parts
-    of covers x R(x)).  Candidates for rho come from matching a maximal-
-    degree element of L against each same-degree element of span(L2); every
-    candidate is verified by exact span comparison over the extension field.
+    of covers x R(x)).  Candidates for rho^d are the nonzero elements of the
+    F_2-span of L2's top coefficients over that of L's largest element, each
+    checked by exact span comparison; all the splits share one budget.
     Raises ValueError for an empty basis, zero or dependent elements, or
     bases of 2-degree 0 only (X^2 = c has no distinct roots to try).
     """
@@ -162,15 +164,13 @@ def covers_isomorphic(L, L2, budget=DEFAULT_BUDGET):
         return None
     src = max(L, key=lambda R: (R.h, R.coeffs))
     d = (1 << hmax) + 1
-    seen = set()
-    for tgt in f2_span(L2, lin(F, []), lin_add)[1:]:
-        if tgt.h != hmax:
-            continue
-        c = F.div(tgt.coeffs[-1], src.coeffs[-1])
-        if c in seen:
-            continue
-        seen.add(c)
-        ext, emb, roots = _binomial_roots(F, c, d, budget)
+    pivots, spent = [], 0
+    for t in [F.div(R.coeff(hmax), src.coeffs[-1]) for R in L2]:
+        if len(_echelonize(pivots + [t])) > len(pivots):
+            pivots.append(t)
+    for c in f2_span(pivots, 0, xor)[1:]:
+        ext, emb, roots = _binomial_roots(F, c, d, budget, spent)
+        spent += ext.degree * d * d
         span2 = _echelonize([_pack([emb(a) for a in R.coeffs], ext.degree)
                        for R in L2])
         for rho in roots:

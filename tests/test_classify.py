@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from sscurves.classify import (covers_isomorphic, curves_isomorphic, e_poly,
-                               radical, scaling_orbit)
-from sscurves.field import embedding_into, make_field
+from sscurves.classify import (_pack, covers_isomorphic, curves_isomorphic,
+                               e_poly, radical, scaling_orbit)
+from sscurves.field import _echelonize, embedding_into, make_field
 from sscurves.limits import Budget
-from sscurves.linops import lin, lin_eval, times_x
+from sscurves.linops import lin, lin_add, lin_eval, times_x
 from sscurves.quotient import QuotientCurve
 from sscurves.zeta import CountSeries, count_series, lpoly_from_counts
+
+from poly_helpers import covers_isomorphic_by_span
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -148,6 +150,48 @@ def test_covers_isomorphic():
     g5 = F16.pow(2, 3)
     target = [lin(F16, [0, 1]), lin(F16, [0, g, g5])]
     assert covers_isomorphic(L2, target) is None
+
+
+def random_basis(rng, F, k, h):
+    """k F_2-independent linearized polynomials over F of top 2-degree h."""
+    basis = [lin(F, [rng.randrange(F.order) for _ in range(h)]
+                 + [rng.randrange(1, F.order)])]
+    while len(basis) < k:
+        R = lin(F, [rng.randrange(F.order) for _ in range(h + 1)])
+        packed = [_pack(S.coeffs, F.degree) for S in basis + [R]]
+        if len(_echelonize(packed)) == len(packed):
+            basis.append(R)
+    return basis
+
+
+def test_covers_isomorphic_matches_the_span_oracle():
+    # the pivot walk against the walk over all of span(L2): the same
+    # witness, or None, in isomorphic pairs (L2 a rescaled L, recombined and
+    # shuffled) and in random ones; fewer pairs where the splits reach
+    # F_2^18 (F_4 at 2-degree 3), F_2^24 and F_2^36 (F_16 at 2 and 3)
+    rng = random.Random(20261020)
+    outcomes = []
+    for n in range(1, 5):
+        F = make_field(n)
+        for h in range(1, 4):
+            for _ in range({(2, 3): 15, (4, 2): 8, (4, 3): 3}.get((n, h), 20)):
+                k = rng.randint(1, min(8, n * (h + 1)))
+                L = random_basis(rng, F, k, h)
+                if rng.random() < 0.5:
+                    rho = rng.randrange(1, F.order)
+                    L2 = [scaling_orbit(R, rho) for R in L]
+                    for i in range(1, k):
+                        for j in range(i):
+                            if rng.random() < 0.5:
+                                L2[i] = lin_add(L2[i], L2[j])
+                    rng.shuffle(L2)
+                else:
+                    L2 = random_basis(rng, F, k, h)
+                w = covers_isomorphic(L, L2)
+                assert w == covers_isomorphic_by_span(L, L2), (n, h, L, L2)
+                outcomes.append(w is not None)
+    assert len(outcomes) == 206
+    assert outcomes.count(True) >= 80 and outcomes.count(False) >= 60
 
 
 def test_covers_dimension_mismatch():

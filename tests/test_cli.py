@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -999,6 +1000,46 @@ def test_iso_root_split_fits_at_the_bound(capsys, tmp_path):
     assert run_full(capsys, "iso", str(r), str(r), "--budget-log2", "11") == (
         3, "", "capacity/budget error: splitting X^17 = c over F_2^8 exceeds "
                "the budget 2^11\n")
+
+
+def test_iso_covers_prices_its_splits_together(capsys, tmp_path):
+    # the top coefficients of b.json are 8 independent elements of F_2^8,
+    # so 255 candidates c, each split of X^3 = c costing 8 * 9 or 24 * 9
+    # products: each fit 2^12 alone, so all 255 ran and exit 0 followed
+    field = {"degree": 8, "modulus": "0x11b"}
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"field": field, "basis": [
+        [hex(1 << i), hex(1 << i)] for i in range(8)]}))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"field": field, "basis": [
+        ["0x0", hex(1 << i)] for i in range(8)]}))
+    assert run_full(capsys, "iso", "--mode", "covers", "--budget-log2", "12",
+                    str(a), str(b)) == (
+        3, "", "capacity/budget error: splitting X^3 = c over F_2^24 exceeds "
+               "the budget 2^12 after 3888 products of earlier splits\n")
+    assert run_full(capsys, "iso", "--mode", "covers", str(a), str(b)) == (
+        0, "not isomorphic\n", "")
+
+
+def test_iso_covers_walks_the_pivots_not_the_span(tmp_path):
+    # 24 unit polynomials gamma^j x^(2^i), i < 6 and j < 4: the walk over
+    # span(L2) built 2^24 polynomials (77.6 s and 2.85 GB), while the four
+    # independent top coefficients give 15 candidates; the child is capped
+    # so that a walk over the span fails fast
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    b = basis_file(tmp_path, "b.json", [["0x0"] * i + [hex(1 << j)]
+                                        for i in range(6) for j in range(4)])
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sscurves.cli", "iso",
+                           "--mode", "covers", "--json", b, b],
+                          capture_output=True, text=True, preexec_fn=cap,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=10)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["witness"], doc["witness_field"]["degree"]) == ("0x40dc3", 20)
 
 
 def test_iso_curves_refuses_r_of_2_degree_below_1(capsys, tmp_path):
